@@ -12,7 +12,7 @@
 //!   whether it can transitively reach an `unwrap`/`expect`/`panic!`/
 //!   indexing site without passing a `catch_unwind` boundary, with a
 //!   shortest witness path in the message. The serve path
-//!   `handle_connection → query_top_batch` is a hard contract: panics
+//!   `handle_connection → query_top_batch_at` is a hard contract: panics
 //!   there must be contained by the batcher's documented
 //!   `catch_unwind`, so contract violations are errors.
 //! * `unsafe-taint` — an `unsafe` block may only be reached through a
@@ -29,6 +29,11 @@ use std::collections::BTreeMap;
 use crate::graph::{CallGraph, Workspace};
 use crate::rules::is_library_path;
 use crate::{Finding, Severity};
+
+/// The scoring entry the serve batcher calls, inside its documented
+/// `catch_unwind`: every route from `handle_connection` to it must pass
+/// that boundary.
+const SERVE_SCORING_ENTRY: &str = "query_top_batch_at";
 
 /// A workspace-level rule. Mirrors [`crate::rules::Rule`] but checks
 /// the parsed workspace and call graph instead of one file.
@@ -90,7 +95,8 @@ The warning tier tracks the explicit panic family (unwrap/expect/panic!/ \
 assert/unreachable/todo); slice indexing joins only for the serve contract, \
 because bounds-checked indexing is pervasive and intentional in the kernels. The serve path is a hard contract: \
 handle_connection must not reach any uncontained panic, and every route from \
-it to query_top_batch must pass through the batcher's documented catch_unwind \
+it to query_top_batch_at (the scoring entry the batcher calls) must pass through \
+the batcher's documented catch_unwind \
 (those violations are errors, not warnings). Resolution is heuristic \
 (DESIGN.md §3j): trait-method calls over-approximate to any impl, unresolved \
 names under-approximate to no edge."
@@ -152,16 +158,17 @@ panic: {}",
                 });
             }
             let fwd = graph.forward_reachable(entry);
-            for &target in &graph.find_fn(ws, "query_top_batch", None) {
+            for &target in &graph.find_fn(ws, SERVE_SCORING_ENTRY, None) {
                 if fwd[target] {
                     findings.push(Finding {
                         rule: self.name(),
                         severity: Severity::Error,
                         file: wf.source.rel_path.clone(),
                         line: f.line,
-                        message: "serve contract: `handle_connection` reaches \
-`query_top_batch` without passing the batcher's catch_unwind boundary"
-                            .to_string(),
+                        message: format!(
+                            "serve contract: `handle_connection` reaches \
+`{SERVE_SCORING_ENTRY}` without passing the batcher's catch_unwind boundary"
+                        ),
                     });
                 }
             }

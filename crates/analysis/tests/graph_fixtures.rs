@@ -126,6 +126,43 @@ fn private_fns_are_not_flagged() {
     assert!(hits("panic-reachability", &[(LIB, src)]).is_empty());
 }
 
+#[test]
+fn serve_handler_reaching_the_scoring_entry_uncontained_is_an_error() {
+    let serve = "use lsi_core::query_top_batch_at;\n\
+                 pub fn handle_connection() {\n    query_top_batch_at();\n}\n";
+    let core = "pub fn query_top_batch_at() {}\n";
+    let entries = [
+        ("crates/serve/src/server.rs", serve),
+        ("crates/core/src/batch.rs", core),
+    ];
+    assert_eq!(
+        hits("panic-reachability", &entries),
+        vec![("crates/serve/src/server.rs".to_string(), 2)]
+    );
+    let msgs = messages("panic-reachability", &entries);
+    assert!(
+        msgs[0].contains("serve contract") && msgs[0].contains("query_top_batch_at"),
+        "the error names the contract and the entry: {msgs:?}"
+    );
+}
+
+#[test]
+fn serve_handler_reaching_the_scoring_entry_through_catch_unwind_is_silent() {
+    let serve = "use std::panic::catch_unwind;\n\
+                 use lsi_core::query_top_batch_at;\n\
+                 pub fn handle_connection() {\n    score_batch();\n}\n\
+                 fn score_batch() {\n    let _ = catch_unwind(|| query_top_batch_at());\n}\n";
+    let core = "pub fn query_top_batch_at() {}\n";
+    assert!(hits(
+        "panic-reachability",
+        &[
+            ("crates/serve/src/server.rs", serve),
+            ("crates/core/src/batch.rs", core),
+        ],
+    )
+    .is_empty());
+}
+
 // ------------------------------------------------------------------
 // unsafe-taint
 // ------------------------------------------------------------------

@@ -4,6 +4,9 @@
 //! `lsi --metrics=json` prints — plus the Chrome trace the same run
 //! produces under `--trace=FILE`, including pool-worker lanes.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
+
 use lsi_cli::commands;
 use lsi_corpora::MedExample;
 use lsi_obs::Json;
@@ -96,6 +99,26 @@ fn med_pipeline_reports_all_six_stages_with_nonzero_work() {
     // lanes of the trace (when the pool has workers at all).
     let terms = commands::cmd_terms(&db, "blood", 5).unwrap();
     assert!(!terms.trim().is_empty(), "terms produced no output");
+    // The sweep's chunks go to whichever thread claims them first, and
+    // the submitting thread can claim them all. So one task is pinned
+    // to a worker: the inline half of a join waits (bounded) until the
+    // published half has started, which only a worker can do meanwhile.
+    let pooled = std::env::var("LSI_NUM_THREADS")
+        .map(|v| v.trim() != "1")
+        .unwrap_or(true)
+        && std::thread::available_parallelism().map(|n| n.get() > 1).unwrap_or(false);
+    if pooled {
+        let started = AtomicBool::new(false);
+        rayon::join(
+            || {
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while !started.load(Ordering::Acquire) && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            },
+            || started.store(true, Ordering::Release),
+        );
+    }
 
     let snapshot = lsi_obs::snapshot();
     let trace = lsi_obs::chrome_trace_json();
@@ -217,14 +240,11 @@ fn med_pipeline_reports_all_six_stages_with_nonzero_work() {
         .expect("E event carries alloc_bytes");
     assert!(parse_alloc > 0.0);
 
-    // Pool-worker lanes: with more than one thread, the terms sweep's
-    // task spans ride worker tids with `pool.worker.N` lane names.
-    // (verify.sh reruns the suite with LSI_NUM_THREADS=1, where the
-    // pool has no workers and everything stays on the main lane.)
-    let pooled = std::env::var("LSI_NUM_THREADS")
-        .map(|v| v.trim() != "1")
-        .unwrap_or(true)
-        && std::thread::available_parallelism().map(|n| n.get() > 1).unwrap_or(false);
+    // Pool-worker lanes: with more than one thread, the pinned task
+    // (and usually some of the terms sweep's) rides a worker tid with a
+    // `pool.worker.N` lane name. (verify.sh reruns the suite with
+    // LSI_NUM_THREADS=1, where the pool has no workers and everything
+    // stays on the main lane.)
     if pooled {
         let worker_tids: Vec<f64> = events
             .iter()

@@ -1,22 +1,19 @@
 //! Coalesced batch scoring for the serving layer.
 //!
-//! `lsi serve` collects concurrent requests into one scoring batch so
-//! the document sweep runs as a single `V Q̂` GEMM (n_docs × n_queries)
-//! instead of one GEMV per query — the same coalescing
-//! [`crate::multiquery`] uses for one query's facets, applied across
-//! independent requests. Each query still gets its own projection,
-//! its own top-`z` selection (the shared branchless
-//! [`crate::query::select_top_by`]), its own query-log record, and its
-//! own error: a batch is a scheduling unit, not a failure domain.
+//! `lsi serve` hands each batch of concurrent requests to the scoring
+//! executor ([`crate::query`]) as one block of projected columns, so
+//! under the exact all-rows scan the document sweep is a single `V Q̂`
+//! GEMM instead of one GEMV per query. Each query still gets its own
+//! projection, its own probed lists (never unioned across the batch),
+//! its own top-`z` selection, its own query-log record, and its own
+//! error: a batch is a scheduling unit, not a failure domain.
 
 use std::time::Instant;
 
-use lsi_obs::Json;
-
 use crate::model::LsiModel;
-use crate::query::{desc_key_f64, select_top_by, RankedList};
-use crate::querylog::{self, RequestCtx};
-use crate::{IndexPolicy, Result};
+use crate::query::{Ask, RankedList};
+use crate::querylog::{self, Record, RequestCtx};
+use crate::Result;
 
 /// One query in a coalesced scoring batch.
 #[derive(Debug)]
@@ -31,122 +28,89 @@ pub struct BatchQuery {
 }
 
 impl LsiModel {
-    /// Serve a batch of queries, one `Result` per query in input
-    /// order.
-    ///
-    /// When the model scans exactly (no cluster-index policy, no
-    /// compressed store) and the batch holds more than one query, the
-    /// document sweep coalesces into a single GEMM; otherwise — and
-    /// whenever the coalesced sweep fails — each query is served
-    /// through [`LsiModel::query_top`] independently, so one poisoned
-    /// query (a projection error, an injected fault) fails only
-    /// itself.
+    /// Serve a batch of queries under the model's index policy, one
+    /// `Result` per query in input order (see
+    /// [`LsiModel::query_top_batch_at`]).
     pub fn query_top_batch(&self, batch: Vec<BatchQuery>) -> Vec<Result<RankedList>> {
-        let coalesce = batch.len() > 1
-            && matches!(self.index_policy(), IndexPolicy::Exact)
-            && self.compressed.is_none();
-        if !coalesce {
-            return batch
-                .into_iter()
-                .map(|q| {
-                    if let Some(ctx) = q.ctx {
-                        querylog::set_request_context(ctx);
-                    }
-                    self.query_top(&q.text, q.z)
-                })
-                .collect();
-        }
-        let _span = lsi_obs::span("query.batch");
-        let m = batch.len();
-        let t0 = Instant::now();
+        self.query_top_batch_at(batch, None)
+    }
 
-        // Projection is per-query (and can fail per-query).
-        let mut projected: Vec<Option<(Vec<f64>, f64)>> = Vec::with_capacity(m);
-        let mut results: Vec<Option<Result<RankedList>>> = Vec::with_capacity(m);
-        for q in &batch {
-            let tp = Instant::now();
+    /// Serve a batch of queries, one `Result` per query in input order,
+    /// with a per-call probe-depth override: `Some(n)` routes every
+    /// query through the trained cluster index at depth `n` regardless
+    /// of the persisted [`crate::IndexPolicy`] (the serve degradation
+    /// ladder narrows probe depth under pressure without mutating the
+    /// model), `None` follows the policy. Without a trained index an
+    /// override scans all rows — [`LsiModel::train_index`] prepares the
+    /// index up front.
+    ///
+    /// The whole batch runs through the scoring executor as one block.
+    /// Each query's result holds the same documents in the same order
+    /// as the query served alone, with cosines within 1e-12 of it:
+    /// when several of its queries take the f64 sweep over all rows,
+    /// that sweep is one GEMM, whose FMA tiles round differently in the
+    /// last bits from the single-query GEMV. Every other sweep scores
+    /// each query alone, bit-identical to serving it alone.
+    ///
+    /// When the block fails (an injected fault, a non-finite sweep),
+    /// each query of a batch of more than one is re-served alone, so
+    /// one poisoned query fails only itself.
+    pub fn query_top_batch_at(
+        &self,
+        batch: Vec<BatchQuery>,
+        nprobe: Option<usize>,
+    ) -> Vec<Result<RankedList>> {
+        let _span = lsi_obs::span("query");
+        let t0 = Instant::now();
+        let m = batch.len();
+        lsi_obs::observe("query.batch.size", m as f64);
+        // Projection is per query (and can fail per query).
+        let mut results: Vec<Result<RankedList>> = Vec::with_capacity(m);
+        let (mut ok, mut recs) = (Vec::new(), Vec::new());
+        for q in batch {
+            let mut rec = Record::new("top", q.ctx);
+            rec.num("n_docs", self.n_docs() as f64);
+            rec.num("batch", m as f64);
+            let t_proj = querylog::timer();
             match self.project_text(&q.text) {
                 Ok(qhat) => {
-                    projected.push(Some((qhat, tp.elapsed().as_secs_f64() * 1e6)));
-                    results.push(None);
+                    rec.done(t_proj, "project_us");
+                    ok.push((results.len(), qhat, q.z));
+                    recs.push(rec);
+                    results.push(Ok(RankedList::default()));
                 }
-                Err(e) => {
-                    projected.push(None);
-                    results.push(Some(Err(e)));
-                }
+                Err(e) => results.push(Err(e)),
             }
         }
-
-        // One GEMM over every successfully projected query. A sweep
-        // error (non-finite guard, armed failpoint) falls back to the
-        // per-query path so only the poisoned query errors.
-        let facets: Vec<&[f64]> = projected
+        let cols: Vec<&[f64]> = ok.iter().map(|(_, qhat, _)| qhat.as_slice()).collect();
+        let asks: Vec<Ask> = cols
             .iter()
-            .flatten()
-            .map(|(qhat, _)| qhat.as_slice())
+            .zip(&ok)
+            .map(|(col, &(_, _, z))| Ask {
+                cols: std::slice::from_ref(col),
+                combine: None,
+                z,
+            })
             .collect();
-        let t_sweep = Instant::now();
-        let scores = match self.facet_cosines(&facets) {
-            Ok(s) => s,
-            Err(_) => {
-                return batch
-                    .into_iter()
-                    .map(|q| {
-                        if let Some(ctx) = q.ctx {
-                            querylog::set_request_context(ctx);
-                        }
-                        self.query_top(&q.text, q.z)
-                    })
-                    .collect();
-            }
+        let (probe, store) = (self.probe_plan(nprobe), self.compressed.as_ref());
+        let served: Vec<Result<RankedList>> = match self.rank_top(&asks, probe, store, &mut recs) {
+            Ok(lists) => lists.into_iter().map(Ok).collect(),
+            Err(e) if asks.len() == 1 => vec![Err(e)],
+            Err(_) => asks
+                .iter()
+                .zip(recs.iter_mut())
+                .map(|(ask, rec)| self.rank_one(ask, probe, store, rec))
+                .collect(),
         };
-        let sweep_us = t_sweep.elapsed().as_secs_f64() * 1e6;
-
-        lsi_obs::count("query.count", m as u64);
-        lsi_obs::observe("query.batch.size", m as f64);
-        let n = self.n_docs();
-        let mut col = 0usize;
-        for (i, q) in batch.into_iter().enumerate() {
-            let Some((_, project_us)) = projected[i] else {
-                continue; // projection error already recorded
-            };
-            let s = scores.col(col);
-            col += 1;
-            let order = select_top_by(n, q.z, |j| (desc_key_f64(s[j]), j as u32));
-            let ranked = RankedList {
-                matches: order.into_iter().map(|j| self.make_match(j, s[j])).collect(),
-            };
-            if querylog::enabled() {
-                let fields: Vec<(&'static str, Json)> = vec![
-                    ("kind", Json::Str("top".to_string())),
-                    ("n_docs", Json::Num(n as f64)),
-                    ("precision", Json::Str(self.precision().name().to_string())),
-                    ("z", Json::Num(q.z as f64)),
-                    ("path", Json::Str("batch".to_string())),
-                    ("batch", Json::Num(m as f64)),
-                    ("project_us", Json::Num(project_us)),
-                    ("sweep_us", Json::Num(sweep_us)),
-                ];
-                querylog::emit(
-                    q.ctx,
-                    fields,
-                    &ranked,
-                    t0.elapsed().as_secs_f64() * 1e6,
-                );
+        for ((&(slot, _, _), result), rec) in ok.iter().zip(served).zip(recs) {
+            if let Ok(ranked) = &result {
+                lsi_obs::count("query.count", 1);
+                lsi_obs::observe("query.time.us", t0.elapsed().as_secs_f64() * 1e6);
+                rec.finish(ranked);
             }
-            lsi_obs::observe("query.time.us", t0.elapsed().as_secs_f64() * 1e6);
-            results[i] = Some(Ok(ranked));
+            results[slot] = result;
         }
         results
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|| {
-                // Unreachable by construction (every slot is filled
-                // above); a typed error beats a panic if it ever isn't.
-                Err(crate::Error::Inconsistent {
-                    context: "batch slot left unserved".into(),
-                })
-            }))
-            .collect()
     }
 }
 
@@ -154,7 +118,7 @@ impl LsiModel {
 mod tests {
     use super::*;
     use crate::model::LsiOptions;
-    use crate::Precision;
+    use crate::{IndexPolicy, Precision};
     use lsi_text::{Corpus, ParsingRules, TermWeighting};
 
     fn model() -> LsiModel {
@@ -187,7 +151,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_per_query_results_bitwise() {
+    fn batch_matches_per_query_documents_and_order() {
         let m = model();
         let texts = ["car motor", "zebra lion", "automobile", "giraffe safari"];
         let batch: Vec<BatchQuery> = texts.iter().map(|t| q(t, 3)).collect();
@@ -198,7 +162,7 @@ mod tests {
             assert_eq!(r.matches.len(), solo.matches.len(), "{text}");
             for (a, b) in r.matches.iter().zip(solo.matches.iter()) {
                 assert_eq!(a.doc, b.doc, "{text}");
-                assert_eq!(a.cosine.to_bits(), b.cosine.to_bits(), "{text}");
+                assert!((a.cosine - b.cosine).abs() <= 1e-12, "{text}");
             }
         }
     }
@@ -244,36 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_sweep_fails_only_itself() {
-        // A batch error falls back to per-query serving: with the
-        // scoring failpoint armed to fire exactly once, the coalesced
-        // sweep errors, the fallback re-serves per query, and every
-        // query still succeeds (the failpoint is spent).
-        let m = model();
-        lsi_fault::arm_from_spec("core.query.score=return-err:1").unwrap();
-        let got = m.query_top_batch(vec![q("car", 2), q("lion", 2), q("zebra", 2)]);
-        lsi_fault::clear();
-        assert_eq!(got.iter().filter(|r| r.is_ok()).count(), 3);
-    }
-
-    #[test]
-    fn projection_error_is_contained_per_query() {
-        // project_text never fails on unknown words (zero vector), so
-        // force a per-query error through the probe-depth override
-        // path instead: a dimension-mismatched model cannot exist
-        // here, so exercise containment through the fault fallback
-        // with a twice-armed failpoint — batch sweep errs, then one
-        // per-query retry errs, the other two serve.
-        let m = model();
-        lsi_fault::arm_from_spec("core.query.score=return-err:2").unwrap();
-        let got = m.query_top_batch(vec![q("car", 2), q("lion", 2), q("zebra", 2)]);
-        lsi_fault::clear();
-        let ok = got.iter().filter(|r| r.is_ok()).count();
-        let err = got.iter().filter(|r| r.is_err()).count();
-        assert_eq!((ok, err), (2, 1), "exactly the re-poisoned query fails");
-    }
-
-    #[test]
     fn train_index_enables_override_without_policy_change() {
         let mut m = model();
         m.train_index().unwrap();
@@ -281,14 +215,18 @@ mod tests {
         assert!(m.index_n_lists().is_some());
         let exact = m.query_top("car motor", 3).unwrap();
         let full_depth = m
-            .query_top_with("car motor", 3, Some(m.index_n_lists().unwrap()))
+            .query_top_batch_at(vec![q("car motor", 3)], Some(m.index_n_lists().unwrap()))
+            .remove(0)
             .unwrap();
         for (a, b) in full_depth.matches.iter().zip(exact.matches.iter()) {
             assert_eq!(a.doc, b.doc);
             assert_eq!(a.cosine.to_bits(), b.cosine.to_bits());
         }
         // A narrowed probe still serves (possibly fewer survivors).
-        let narrowed = m.query_top_with("car motor", 3, Some(1)).unwrap();
+        let narrowed = m
+            .query_top_batch_at(vec![q("car motor", 3)], Some(1))
+            .remove(0)
+            .unwrap();
         assert!(!narrowed.matches.is_empty());
     }
 }

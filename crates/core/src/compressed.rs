@@ -5,22 +5,24 @@
 //! only the top few documents need exact scores. This module keeps a
 //! compressed replica of `V_k` (f32, or scaled-i8 with per-row scale
 //! factors), scores *all* documents through it, over-fetches the top
-//! `c = max(4z, 64)` candidates, and lets the caller re-rank just those
-//! candidates exactly in f64. Related matrix-model work (Antonellis &
-//! Gallopoulos, cs/0602076) shows retrieval in the reduced space is
-//! robust to reduced-precision document representations — exactly the
-//! property a candidate pass needs.
+//! `c = max(4z, 64)` candidates, and lets the scoring executor
+//! (`crate::query`) re-rank just those candidates exactly in f64.
+//! Related matrix-model work (Antonellis & Gallopoulos, cs/0602076)
+//! shows retrieval in the reduced space is robust to reduced-precision
+//! document representations — exactly the property a candidate pass
+//! needs.
 //!
 //! Exactness contract: for [`Precision::F32`], a conservative error
 //! bound on the approximate cosines plus a margin check against the
 //! candidate cutoff guarantees the re-ranked top-`z` is *bit-identical*
 //! to the exact f64 scan; when the margin cannot be certified (heavy
-//! ties near the cutoff, or non-finite sweep output) the caller falls
-//! back to the exact scan, so correctness never depends on the bound
-//! being tight. [`Precision::I8`] is explicitly approximate: the
-//! candidate *set* may differ from exact near the cutoff (validated by
-//! a recall@10 ≥ 0.99 statistical test), but returned scores are still
-//! exact f64 cosines because the survivors are re-ranked.
+//! ties near the cutoff, or non-finite sweep output) the executor falls
+//! back to the f64 sweep over the same rows, so correctness never
+//! depends on the bound being tight. [`Precision::I8`] is explicitly
+//! approximate: the candidate *set* may differ from exact near the
+//! cutoff (validated by a recall@10 ≥ 0.99 statistical test), but
+//! returned scores are still exact f64 cosines because the survivors
+//! are re-ranked.
 //!
 //! Coherence: the store is derived data, rebuilt by
 //! `LsiModel::refresh_doc_norms` — the single hook every `V`-mutating
@@ -193,7 +195,7 @@ impl CompressedStore {
     }
 
     /// Margin the exact re-rank must clear for the top-`z` to be
-    /// certified identical to the exact scan: the f32 cosine error
+    /// certified identical to the f64 sweep: the f32 cosine error
     /// bound, or `None` for the explicitly-approximate i8 ladder.
     pub(crate) fn rerank_margin(&self, k: usize) -> Option<f64> {
         match self {
@@ -202,109 +204,44 @@ impl CompressedStore {
         }
     }
 
-    /// Approximate cosine scores of every document against one
-    /// projected query (`qnorm` is the query's f64 norm). Deterministic
-    /// and bit-identical across thread counts, like the f64 sweep.
+    /// Approximate cosine scores against one projected query (`qnorm`
+    /// is its f64 norm): of every document when `rows` is `None`
+    /// (pooled GEMV), else of `rows[i]` into slot `i` (serial subset
+    /// kernel; the executor shards it). Each subset score is
+    /// bit-identical to the full sweep's: the subset kernels accumulate
+    /// per row in the same column order. Deterministic across thread
+    /// counts, like the f64 sweep.
     pub(crate) fn approx_scores(
         &self,
         qhat: &[f64],
         qnorm: f64,
+        rows: Option<&[u32]>,
     ) -> lsi_linalg::Result<Vec<f32>> {
         let q32: Vec<f32> = qhat.iter().map(|&x| x as f32).collect();
         let rq = if qnorm > 0.0 { (1.0 / qnorm) as f32 } else { 0.0 };
         let k = qhat.len();
-        match self {
-            CompressedStore::F32 { data, recip_norms } => {
-                let n = recip_norms.len();
-                let mut y = lowp::matvec_f32(data, n, k, &q32)?;
-                for (s, &rn) in y.iter_mut().zip(recip_norms.iter()) {
-                    *s *= rn * rq;
-                }
-                Ok(y)
+        let (mut y, scale) = match (self, rows) {
+            (CompressedStore::F32 { data, recip_norms: s }, None) => {
+                (lowp::matvec_f32(data, s.len(), k, &q32)?, s)
             }
-            CompressedStore::I8 { data, factors } => {
-                let n = factors.len();
-                let mut y = lowp::matvec_i8(data, n, k, &q32)?;
-                for (s, &f) in y.iter_mut().zip(factors.iter()) {
-                    *s *= f * rq;
-                }
-                Ok(y)
+            (CompressedStore::F32 { data, recip_norms: s }, Some(rows)) => {
+                (lowp::matvec_f32_rows(data, s.len(), k, &q32, rows)?, s)
             }
+            (CompressedStore::I8 { data, factors: s }, None) => {
+                (lowp::matvec_i8(data, s.len(), k, &q32)?, s)
+            }
+            (CompressedStore::I8 { data, factors: s }, Some(rows)) => {
+                (lowp::matvec_i8_rows(data, s.len(), k, &q32, rows)?, s)
+            }
+        };
+        match rows {
+            None => y.iter_mut().zip(scale).for_each(|(s, &f)| *s *= f * rq),
+            Some(rows) => y
+                .iter_mut()
+                .zip(rows)
+                .for_each(|(s, &r)| *s *= scale[r as usize] * rq),
         }
-    }
-
-    /// Approximate cosine scores for a *subset* of documents — the
-    /// pruned-index variant of [`CompressedStore::approx_scores`].
-    /// `rows[i]` is the document id scored into slot `i` of the result,
-    /// so the output aligns with the caller's survivor list. Each score
-    /// is bit-identical to the corresponding entry of the full sweep:
-    /// the row-subset kernels accumulate per row in the same column
-    /// order as the full GEMV.
-    pub(crate) fn approx_scores_rows(
-        &self,
-        qhat: &[f64],
-        qnorm: f64,
-        rows: &[u32],
-    ) -> lsi_linalg::Result<Vec<f32>> {
-        let q32: Vec<f32> = qhat.iter().map(|&x| x as f32).collect();
-        let rq = if qnorm > 0.0 { (1.0 / qnorm) as f32 } else { 0.0 };
-        let k = qhat.len();
-        match self {
-            CompressedStore::F32 { data, recip_norms } => {
-                let n = recip_norms.len();
-                let mut y = lowp::matvec_f32_rows(data, n, k, &q32, rows)?;
-                for (s, &r) in y.iter_mut().zip(rows.iter()) {
-                    *s *= recip_norms[r as usize] * rq;
-                }
-                Ok(y)
-            }
-            CompressedStore::I8 { data, factors } => {
-                let n = factors.len();
-                let mut y = lowp::matvec_i8_rows(data, n, k, &q32, rows)?;
-                for (s, &r) in y.iter_mut().zip(rows.iter()) {
-                    *s *= factors[r as usize] * rq;
-                }
-                Ok(y)
-            }
-        }
-    }
-
-    /// Approximate per-facet cosine scores, column-major `n x nf` —
-    /// the multi-facet variant of [`CompressedStore::approx_scores`].
-    /// The f32 ladder routes through the paired-rhs GEMM so `V` is
-    /// streamed once per facet pair.
-    pub(crate) fn approx_scores_multi(
-        &self,
-        facets: &[&[f64]],
-        qnorms: &[f64],
-    ) -> lsi_linalg::Result<Vec<f32>> {
-        let nf = facets.len();
-        let k = facets.first().map_or(0, |f| f.len());
-        match self {
-            CompressedStore::F32 { data, recip_norms } => {
-                let n = recip_norms.len();
-                let mut b = Vec::with_capacity(k * nf);
-                for f in facets {
-                    b.extend(f.iter().map(|&x| x as f32));
-                }
-                let mut c = lowp::gemm_f32(data, n, k, &b, nf)?;
-                for (f, col) in c.chunks_mut(n.max(1)).take(nf).enumerate() {
-                    let rq = if qnorms[f] > 0.0 { (1.0 / qnorms[f]) as f32 } else { 0.0 };
-                    for (s, &rn) in col.iter_mut().zip(recip_norms.iter()) {
-                        *s *= rn * rq;
-                    }
-                }
-                Ok(c)
-            }
-            CompressedStore::I8 { factors, .. } => {
-                let n = factors.len();
-                let mut c = Vec::with_capacity(n * nf);
-                for (f, facet) in facets.iter().enumerate() {
-                    c.extend(self.approx_scores(facet, qnorms[f])?);
-                }
-                Ok(c)
-            }
-        }
+        Ok(y)
     }
 }
 
@@ -365,7 +302,7 @@ mod tests {
         let s = CompressedStore::build(Precision::F32, &v, &norms).unwrap();
         let qhat: Vec<f64> = (0..24).map(|j| ((j * 7 % 11) as f64 - 5.0) / 7.0).collect();
         let qnorm = lsi_linalg::vecops::nrm2(&qhat);
-        let approx = s.approx_scores(&qhat, qnorm).unwrap();
+        let approx = s.approx_scores(&qhat, qnorm, None).unwrap();
         let bound = f32_cosine_error_bound(24);
         for i in 0..300 {
             let exact = v.row_view(i).cosine_slice(&qhat);
@@ -385,10 +322,10 @@ mod tests {
         for p in [Precision::F32, Precision::I8] {
             let s = CompressedStore::build(p, &v, &norms).unwrap();
             // Zero query: everything scores 0 (qnorm guard).
-            let z = s.approx_scores(&[0.0; 4], 0.0).unwrap();
+            let z = s.approx_scores(&[0.0; 4], 0.0, None).unwrap();
             assert!(z.iter().all(|&x| x == 0.0));
             // Nonzero query: zero rows score 0 (dnorm guard).
-            let y = s.approx_scores(&[1.0, 0.0, 0.0, 0.0], 1.0).unwrap();
+            let y = s.approx_scores(&[1.0, 0.0, 0.0, 0.0], 1.0, None).unwrap();
             assert_eq!(y[0], 0.0);
             assert_eq!(y[2], 0.0);
             assert!((y[1] - 1.0).abs() < 1e-3);
@@ -403,8 +340,8 @@ mod tests {
         let rows: Vec<u32> = vec![190, 3, 3, 57, 0, 121];
         for p in [Precision::F32, Precision::I8] {
             let s = CompressedStore::build(p, &v, &norms).unwrap();
-            let full = s.approx_scores(&qhat, qnorm).unwrap();
-            let subset = s.approx_scores_rows(&qhat, qnorm, &rows).unwrap();
+            let full = s.approx_scores(&qhat, qnorm, None).unwrap();
+            let subset = s.approx_scores(&qhat, qnorm, Some(&rows)).unwrap();
             assert_eq!(subset.len(), rows.len());
             for (slot, &r) in rows.iter().enumerate() {
                 assert_eq!(
@@ -413,28 +350,7 @@ mod tests {
                     "precision {p:?} row {r}"
                 );
             }
-            assert!(s.approx_scores_rows(&qhat, qnorm, &[]).unwrap().is_empty());
-        }
-    }
-
-    #[test]
-    fn multi_facet_scores_match_single_facet_sweeps_closely() {
-        let (v, norms) = sample_v(120, 16);
-        let q1: Vec<f64> = (0..16).map(|j| (j as f64 * 0.3).sin()).collect();
-        let q2: Vec<f64> = (0..16).map(|j| (j as f64 * 0.7).cos()).collect();
-        let n1 = lsi_linalg::vecops::nrm2(&q1);
-        let n2 = lsi_linalg::vecops::nrm2(&q2);
-        for p in [Precision::F32, Precision::I8] {
-            let s = CompressedStore::build(p, &v, &norms).unwrap();
-            let multi = s
-                .approx_scores_multi(&[&q1, &q2], &[n1, n2])
-                .unwrap();
-            let s1 = s.approx_scores(&q1, n1).unwrap();
-            let s2 = s.approx_scores(&q2, n2).unwrap();
-            for i in 0..120 {
-                assert!((multi[i] - s1[i]).abs() < 1e-5);
-                assert!((multi[120 + i] - s2[i]).abs() < 1e-5);
-            }
+            assert!(s.approx_scores(&qhat, qnorm, Some(&[])).unwrap().is_empty());
         }
     }
 }

@@ -286,7 +286,7 @@ impl LsiModel {
     /// Train the cluster index without changing the retrieval policy:
     /// queries keep following [`LsiModel::index_policy`], but the
     /// per-call probe-depth override
-    /// ([`LsiModel::query_top_with`]) can now route through the index.
+    /// ([`LsiModel::query_top_batch_at`]) can now route through the index.
     /// This is how `lsi serve` prepares its degradation ladder at
     /// startup — an `Exact`-policy model serves exact at nominal load
     /// and degrades to pruned sweeps under pressure without paying a

@@ -7,11 +7,9 @@
 //! facets — each facet keeps its own vector and a document scores by
 //! its *best* (or density-weighted) proximity to any facet.
 
-use lsi_linalg::vecops;
-
-use crate::compressed::CompressedStore;
 use crate::model::LsiModel;
-use crate::query::{desc_key_f64, select_top_by, Match, RankedList};
+use crate::query::{Ask, RankedList};
+use crate::querylog::Record;
 use crate::{Error, Result};
 
 /// How per-facet cosines combine into one document score.
@@ -58,8 +56,8 @@ impl Combine {
 
     /// Lipschitz constant of the combine in the ∞-norm over per-facet
     /// cosines — how far the fused score can move when every facet
-    /// cosine moves by at most ε. Used to scale the compressed path's
-    /// per-facet error bound up to a fused-score margin.
+    /// cosine moves by at most ε. Scales the compressed sweep's
+    /// per-facet error bound up to a fused-score certificate margin.
     ///
     /// `Max` and `Mean` are 1-Lipschitz. For `Density`, the gradient
     /// w.r.t. facet `j` is `w_j/W + β·w_j·(c_j − fused)/W` with softmax
@@ -129,54 +127,39 @@ impl MultiQuery {
 }
 
 impl LsiModel {
-    /// Rank all documents against a multi-facet query.
-    ///
-    /// All facet cosines come out of a single `V Q̂` matrix product
-    /// (one GEMM for the whole batch) before the per-document combine.
+    /// Rank all documents against a multi-facet query: all facet
+    /// cosines come out of one f64 sweep (one GEMM for the facet block)
+    /// before the per-document combine.
     pub fn query_multi(&self, query: &MultiQuery, combine: Combine) -> Result<RankedList> {
         let facets: Vec<&[f64]> = query.facets.iter().map(Vec::as_slice).collect();
-        let cosines = self.facet_cosines(&facets)?;
-        let nf = query.facets.len();
-        let mut row = vec![0.0; nf];
-        let mut matches: Vec<Match> = (0..self.n_docs())
-            .map(|j| {
-                for f in 0..nf {
-                    row[f] = cosines.get(j, f);
-                }
-                Match {
-                    doc: j,
-                    id: self.doc_ids()[j].clone(),
-                    cosine: combine.combine(&row),
-                }
-            })
-            .collect();
-        // NaN-safe: a fused score that goes non-finite (e.g. a 0/0
-        // norm edge case upstream) must not panic the sort — treat it
-        // as equal and let the doc-id tiebreak keep the order total.
-        matches.sort_by(|a, b| {
-            b.cosine
-                .partial_cmp(&a.cosine)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.doc.cmp(&b.doc))
-        });
-        Ok(RankedList { matches })
+        let ask = Ask {
+            cols: &facets,
+            combine: Some(combine),
+            z: self.n_docs(),
+        };
+        self.rank_one(&ask, None, None, &mut Record::off())
     }
 
     /// The `z` best documents for a multi-facet query, through the same
-    /// shared selection (and, under a reduced [`crate::Precision`], the
-    /// same two-phase candidate machinery) as
-    /// [`LsiModel::rank_projected_top`].
+    /// scoring executor as [`LsiModel::rank_projected_top`] over all
+    /// rows (the cluster probe is defined for one query direction).
+    /// Under a reduced [`crate::Precision`] the certificate margin is
+    /// scaled by [`Combine::lipschitz`].
     ///
     /// Compressed caveat: the exact re-rank recomputes each candidate's
-    /// facet cosines through the single-row GEMV, whose accumulation
+    /// facet cosines through the row-subset GEMV, whose accumulation
     /// order matches the single-facet sweep but differs in the last ulp
-    /// from the blocked multi-facet GEMM that [`LsiModel::query_multi`]
-    /// uses. The f32 margin check absorbs that (the certificate margin
-    /// is scaled by [`Combine::lipschitz`] and dwarfs an ulp), so the
+    /// from the blocked multi-facet GEMM that the f64 sweep uses. The
+    /// f32 margin check absorbs that (the margin dwarfs an ulp), so the
     /// returned *document set and order* agree with the exact scan away
     /// from exact fused-score ties, but fused scores may differ from
     /// `query_multi`'s in the final bit. The bit-equality contract is
     /// promised only for the single-facet path.
+    ///
+    /// A combine that turns finite cosines into non-finite fused scores
+    /// (an infinite or NaN `Density` sharpness) is a typed
+    /// [`Error::NonFinite`] at every precision, here and in
+    /// [`LsiModel::query_multi`].
     pub fn query_multi_top(
         &self,
         query: &MultiQuery,
@@ -184,167 +167,12 @@ impl LsiModel {
         z: usize,
     ) -> Result<RankedList> {
         let facets: Vec<&[f64]> = query.facets.iter().map(Vec::as_slice).collect();
-        if let Some(store) = self.compressed.as_ref() {
-            if let Some(ranked) = self.multi_top_compressed(store, &facets, combine, z)? {
-                return Ok(ranked);
-            }
-            lsi_obs::count("score.rerank.fallback.count", 1);
-        }
-        let cosines = self.facet_cosines(&facets)?;
-        let n = self.n_docs();
-        let nf = facets.len();
-        let mut row = vec![0.0; nf];
-        let fused: Vec<f64> = (0..n)
-            .map(|j| {
-                for f in 0..nf {
-                    row[f] = cosines.get(j, f);
-                }
-                combine.combine(&row)
-            })
-            .collect();
-        let order = select_top_by(n, z, |i| (desc_key_f64(fused[i]), i as u32));
-        Ok(RankedList {
-            matches: order
-                .into_iter()
-                .map(|j| self.make_match(j, fused[j]))
-                .collect(),
-        })
-    }
-
-    /// Two-phase compressed multi-facet scan; `Ok(None)` defers to the
-    /// exact path (same fallback triggers as the single-facet variant).
-    fn multi_top_compressed(
-        &self,
-        store: &CompressedStore,
-        facets: &[&[f64]],
-        combine: Combine,
-        z: usize,
-    ) -> Result<Option<RankedList>> {
-        let k = self.k();
-        let n = self.n_docs();
-        for facet in facets {
-            if facet.len() != k {
-                return Err(Error::Inconsistent {
-                    context: format!(
-                        "facet has {} dimensions but the model has {k} factors",
-                        facet.len()
-                    ),
-                });
-            }
-        }
-        if n == 0 || k == 0 || z == 0 || facets.is_empty() {
-            return Ok(None);
-        }
-        let nf = facets.len();
-        let qnorms: Vec<f64> = facets.iter().map(|f| vecops::nrm2(f)).collect();
-        let approx = {
-            let _span = lsi_obs::span("score.candidates");
-            lsi_obs::add_bytes((store.resident_bytes() * nf.div_ceil(2) + 8 * k * nf) as f64);
-            lsi_obs::add_flops((2 * k + 2) as f64 * (n * nf) as f64);
-            let mut approx = store.approx_scores_multi(facets, &qnorms)?;
-            match lsi_fault::eval(lsi_fault::points::CORE_QUERY_SCORE) {
-                Some(lsi_fault::Fired::ReturnErr) => {
-                    return Err(Error::Inconsistent {
-                        context: format!(
-                            "fault injected at failpoint `{}`",
-                            lsi_fault::points::CORE_QUERY_SCORE
-                        ),
-                    });
-                }
-                Some(lsi_fault::Fired::InjectNan) => {
-                    if let Some(first) = approx.first_mut() {
-                        *first = f32::NAN;
-                    }
-                }
-                None => {}
-            }
-            approx
+        let ask = Ask {
+            cols: &facets,
+            combine: Some(combine),
+            z,
         };
-        if !approx.iter().all(|s| s.is_finite()) {
-            lsi_obs::warn!(
-                "compressed multi-facet sweep produced non-finite scores; \
-                 falling back to the exact f64 scan"
-            );
-            return Ok(None);
-        }
-        // Fuse the per-facet f32 scores in f64 — the combine itself is
-        // always full precision; only the facet cosines are approximate.
-        let mut row = vec![0.0; nf];
-        let fused: Vec<f64> = (0..n)
-            .map(|j| {
-                for f in 0..nf {
-                    row[f] = approx[f * n + j] as f64;
-                }
-                combine.combine(&row)
-            })
-            .collect();
-        let z = z.min(n);
-        let c = z
-            .saturating_mul(crate::compressed::OVER_FETCH_FACTOR)
-            .max(crate::compressed::OVER_FETCH_FLOOR)
-            .min(n);
-        let candidates = select_top_by(n, c, |i| (desc_key_f64(fused[i]), i as u32));
-        lsi_obs::count("score.candidates.count", c as u64);
-        let reranked: Vec<(usize, f64)> = {
-            let _span = lsi_obs::span("score.rerank");
-            lsi_obs::add_bytes((c * k * 8) as f64);
-            lsi_obs::add_flops(((2 * k + 3) * c * nf) as f64);
-            // One batched column-outer pass per facet over the
-            // candidates in ascending row order (prefetch-friendly),
-            // then fuse per candidate — bit-identical per facet to the
-            // single-row re-rank.
-            let mut by_row = candidates.clone();
-            by_row.sort_unstable();
-            let per_facet: Vec<Vec<f64>> = (0..nf)
-                .map(|f| self.exact_cosines_rows(&by_row, facets[f], qnorms[f]))
-                .collect::<Result<_>>()?;
-            let mut reranked = Vec::with_capacity(by_row.len());
-            for (ci, &j) in by_row.iter().enumerate() {
-                for f in 0..nf {
-                    row[f] = per_facet[f][ci];
-                }
-                reranked.push((j, combine.combine(&row)));
-            }
-            reranked
-        };
-        if !reranked.iter().all(|(_, s)| s.is_finite()) {
-            return Err(Error::NonFinite {
-                context: "cosine scores (query scoring boundary)".into(),
-            });
-        }
-        lsi_obs::count("score.rerank.count", candidates.len() as u64);
-        let exact_scores: Vec<f64> = reranked.iter().map(|&(_, s)| s).collect();
-        let doc_of: Vec<usize> = reranked.iter().map(|&(j, _)| j).collect();
-        // Position tie-break == document-id tie-break: `reranked` is in
-        // ascending-row order, so `doc_of` is strictly increasing.
-        let order = select_top_by(reranked.len(), z, |i| {
-            (desc_key_f64(exact_scores[i]), i as u32)
-        });
-        // Margin certificate, scaled by the combine's Lipschitz
-        // constant: every facet cosine is within `bound` of exact, so
-        // the fused score is within `L·bound`.
-        if c < n {
-            if let Some(bound) = store.rerank_margin(k) {
-                let bound = bound * combine.lipschitz();
-                let cutoff = candidates
-                    .last()
-                    .map(|&j| fused[j])
-                    .unwrap_or(f64::NEG_INFINITY);
-                let s_z = order
-                    .last()
-                    .map(|&i| exact_scores[i])
-                    .unwrap_or(f64::NEG_INFINITY);
-                if !(s_z > cutoff + bound) {
-                    return Ok(None);
-                }
-            }
-        }
-        Ok(Some(RankedList {
-            matches: order
-                .into_iter()
-                .map(|i| self.make_match(doc_of[i], exact_scores[i]))
-                .collect(),
-        }))
+        self.rank_one(&ask, None, self.compressed.as_ref(), &mut Record::off())
     }
 }
 
@@ -479,5 +307,28 @@ mod tests {
         assert_eq!(Combine::Max.lipschitz(), 1.0);
         assert_eq!(Combine::Mean.lipschitz(), 1.0);
         assert_eq!(Combine::Density { sharpness: -3.0 }.lipschitz(), 7.0);
+    }
+
+    #[test]
+    fn non_finite_fused_scores_are_a_typed_error_at_every_precision() {
+        let m = model();
+        let q = MultiQuery::from_texts(&m, &["car motor", "lion zebra"]).unwrap();
+        for precision in [crate::Precision::Exact, crate::Precision::F32] {
+            let mut m = m.clone();
+            m.set_precision(precision);
+            for sharpness in [f64::INFINITY, f64::NAN] {
+                let combine = Combine::Density { sharpness };
+                let top = m.query_multi_top(&q, combine, 3);
+                assert!(
+                    matches!(top, Err(Error::NonFinite { .. })),
+                    "{precision:?} {sharpness}: query_multi_top gave {top:?}"
+                );
+                let full = m.query_multi(&q, combine);
+                assert!(
+                    matches!(full, Err(Error::NonFinite { .. })),
+                    "{precision:?} {sharpness}: query_multi gave {full:?}"
+                );
+            }
+        }
     }
 }

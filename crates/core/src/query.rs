@@ -6,18 +6,41 @@
 //! by their similarity (nearness) to the query. One common measure of
 //! similarity is the cosine ... Typically the z closest documents or all
 //! documents exceeding some cosine threshold are returned."
+//!
+//! Every ranking entry point — one query, a multi-facet query, a
+//! coalesced batch — runs one three-stage executor over a block of
+//! projected columns:
+//!
+//! 1. **rows**: all documents, or the survivors of the probed cluster
+//!    lists ([`crate::index`]), chosen once from the index policy and
+//!    the caller's probe override;
+//! 2. **sweep**: cosines of each column against its rows, in f64 or
+//!    through the compressed replica ([`crate::compressed`]) when a
+//!    reduced precision is active. Each sweep evaluates the
+//!    `core.query.score` failpoint once and checks its scores are
+//!    finite;
+//! 3. **select and certify**: the shared top-`z` selection. Behind a
+//!    compressed sweep it over-fetches candidates, re-ranks them
+//!    exactly in f64 and certifies the result with the margin check; a
+//!    ranking that cannot be certified falls back to the f64 sweep over
+//!    the same rows.
+//!
+//! Only the f64 sweep over all rows blocks columns together (one GEMV
+//! for a single column, one GEMM for more); every other sweep runs
+//! column by column.
 
-use std::cmp::Ordering;
 use std::sync::Arc;
 
 use lsi_linalg::{ops, vecops, DenseMatrix};
 use lsi_sparse::nnz_balanced_spans;
 use rayon::prelude::*;
 
-use crate::compressed::CompressedStore;
+use crate::batch::BatchQuery;
+use crate::compressed::{CompressedStore, OVER_FETCH_FACTOR, OVER_FETCH_FLOOR};
 use crate::index::{ClusterIndex, IndexPolicy};
 use crate::model::LsiModel;
-use crate::querylog;
+use crate::multiquery::Combine;
+use crate::querylog::{self, Record};
 use crate::{Error, Result};
 
 /// One retrieved document.
@@ -70,20 +93,6 @@ impl RankedList {
     }
 }
 
-/// Descending by score, ties broken by ascending document index — the
-/// ordering every ranking entry point shares.
-pub(crate) fn by_score_desc(scores: &[f64]) -> impl Fn(&usize, &usize) -> Ordering + '_ {
-    // `unwrap_or(Equal)` instead of `expect`: scores are guarded at the
-    // facet_cosines boundary, but a comparator must never panic — a NaN
-    // that slips through degrades the ordering, not the process.
-    move |&a: &usize, &b: &usize| {
-        scores[b]
-            .partial_cmp(&scores[a])
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| a.cmp(&b))
-    }
-}
-
 /// Order-reversing monotone map from an f64 score to a u64 sort key:
 /// ascending key order is descending score order, with every distinct
 /// bit pattern (including -0.0 vs +0.0) kept distinct. Branchless —
@@ -98,9 +107,9 @@ pub(crate) fn desc_key_f64(s: f64) -> u64 {
     !(b ^ (mask | 0x8000_0000_0000_0000))
 }
 
-/// The f32 variant of [`desc_key_f64`] — the candidate sweep's key.
+/// The f32 variant of [`desc_key_f64`] — the candidate over-fetch's key.
 #[inline]
-pub(crate) fn desc_key_f32(s: f32) -> u32 {
+fn desc_key_f32(s: f32) -> u32 {
     let b = s.to_bits();
     let mask = ((b as i32) >> 31) as u32;
     !(b ^ (mask | 0x8000_0000))
@@ -108,9 +117,9 @@ pub(crate) fn desc_key_f32(s: f32) -> u32 {
 
 /// Indices of the best `z` of `0..n` under `key_of` (ascending key =
 /// better; ties broken by ascending index), sorted best-first. This is
-/// the one selection implementation shared by the exact top-`z` path,
-/// the compressed path's candidate pick, and the multi-facet top-`z` —
-/// every ranking entry point sees identical tie handling.
+/// the one selection implementation behind every ranking — the cluster
+/// probe, the candidate over-fetch, the exact top-`z` and the full
+/// ranking — so every entry point sees identical tie handling.
 ///
 /// The selection runs on plain integer (key, index) pairs via
 /// `select_nth_unstable` rather than on an indirect score comparator:
@@ -168,6 +177,152 @@ pub(crate) fn select_top_by<K: Ord + Copy>(
     keyed.into_iter().map(|(_, i)| i as usize).collect()
 }
 
+/// One ranking asked of the executor: its projected query columns
+/// (several fuse into one document score through `combine`, as the
+/// facets of a multi-facet query do) and how many documents to return.
+pub(crate) struct Ask<'a> {
+    pub(crate) cols: &'a [&'a [f64]],
+    pub(crate) combine: Option<Combine>,
+    pub(crate) z: usize,
+}
+
+/// The trained index and the depth the rows stage probes it at.
+pub(crate) type Probe<'m> = (&'m ClusterIndex, usize);
+
+/// Stage 1's output for one ranking: the document rows it is scored
+/// against.
+enum Rows {
+    /// Every document, `0..n`.
+    All(usize),
+    /// The probed lists' documents, list by list; `indptr` delimits the
+    /// lists inside `ids`, so sweeps shard them across the pool in
+    /// list-size-balanced spans.
+    Probed { ids: Vec<u32>, indptr: Vec<usize> },
+}
+
+impl Rows {
+    fn len(&self) -> usize {
+        match self {
+            Rows::All(n) => *n,
+            Rows::Probed { ids, .. } => ids.len(),
+        }
+    }
+
+    /// Document id of row slot `i`.
+    #[inline]
+    fn doc(&self, i: usize) -> usize {
+        match self {
+            Rows::All(_) => i,
+            Rows::Probed { ids, .. } => ids[i] as usize,
+        }
+    }
+}
+
+/// The `core.query.score` failpoint, evaluated once per sweep:
+/// `return-err` fails the sweep, `inject-nan` poisons its first score
+/// (which the sweep's finite check then catches).
+fn score_failpoint<T>(first: Option<&mut T>, nan: T) -> Result<()> {
+    let point = lsi_fault::points::CORE_QUERY_SCORE;
+    match lsi_fault::eval(point) {
+        Some(lsi_fault::Fired::ReturnErr) => Err(Error::Inconsistent {
+            context: format!("fault injected at failpoint `{point}`"),
+        }),
+        Some(lsi_fault::Fired::InjectNan) => {
+            if let Some(s) = first {
+                *s = nan;
+            }
+            Ok(())
+        }
+        None => Ok(()),
+    }
+}
+
+/// The scoring boundary's finite check: a NaN or Inf in scores that
+/// reach selection — from a corrupted model, an armed failpoint, or a
+/// combine that turns finite cosines into NaN — is a typed error,
+/// never silently scrambled ranks.
+fn check_finite(scores: &[f64]) -> Result<()> {
+    if scores.iter().all(|s| s.is_finite()) {
+        Ok(())
+    } else {
+        Err(Error::NonFinite {
+            context: "cosine scores (query scoring boundary)".into(),
+        })
+    }
+}
+
+/// Fused score of each of `len` row slots from per-column scores
+/// `score(col, slot)`, finite-checked; `None` for a ranking without a
+/// combine, whose single column is its score.
+fn fuse(
+    combine: Option<Combine>,
+    ncols: usize,
+    len: usize,
+    score: impl Fn(usize, usize) -> f64,
+) -> Result<Option<Vec<f64>>> {
+    let Some(combine) = combine else {
+        return Ok(None);
+    };
+    let mut row = vec![0.0; ncols];
+    let fused: Vec<f64> = (0..len)
+        .map(|i| {
+            for (c, r) in row.iter_mut().enumerate() {
+                *r = score(c, i);
+            }
+            combine.combine(&row)
+        })
+        .collect();
+    check_finite(&fused)?;
+    Ok(Some(fused))
+}
+
+/// Scale raw `v_j · q̂` products into cosines in place, given each
+/// slot's document norm. A query or document with no mass scores 0,
+/// matching [`vecops::cosine`].
+fn to_cosines(raw: &mut [f64], qnorm: f64, dnorms: impl Iterator<Item = f64>) {
+    for (s, dnorm) in raw.iter_mut().zip(dnorms) {
+        *s = if qnorm > 0.0 && dnorm > 0.0 {
+            *s / (dnorm * qnorm)
+        } else {
+            0.0
+        };
+    }
+}
+
+/// The `c` best slots of one column's f32 approximate scores, ties
+/// broken by document id (`doc(i)` for slot `i`), on keys packed into
+/// one `u64` — the cheapest key to select on over every row.
+fn pick_f32(scores: &[f32], c: usize, doc: impl Fn(usize) -> u32) -> Vec<usize> {
+    select_top_by(scores.len(), c, |i| {
+        (u64::from(desc_key_f32(scores[i])) << 32) | u64::from(doc(i))
+    })
+}
+
+/// Run a row-subset kernel over probed rows in list-size-balanced
+/// shards across the pool ([`nnz_balanced_spans`] over the lists'
+/// prefix sums — the quantile technique the sparse kernels use for nnz
+/// balancing), concatenating in row order. Bit-identical across thread
+/// counts: shard boundaries move with the pool size, but each row's
+/// score comes from the same per-row arithmetic wherever it lands.
+fn sharded<T: Send>(
+    ids: &[u32],
+    indptr: &[usize],
+    kernel: impl Fn(&[u32]) -> Result<Vec<T>> + Sync,
+) -> Result<Vec<T>> {
+    // Two shards per worker: balanced by construction, cheap to
+    // compute, and enough slack for the pool's chunker.
+    let spans = nnz_balanced_spans(indptr, rayon::current_num_threads() * 2);
+    let parts: Vec<Result<Vec<T>>> = spans
+        .into_par_iter()
+        .map(|(l0, l1)| kernel(&ids[indptr[l0]..indptr[l1]]))
+        .collect();
+    let mut out = Vec::with_capacity(ids.len());
+    for part in parts {
+        out.extend(part?);
+    }
+    Ok(out)
+}
+
 impl LsiModel {
     /// Weight a raw term-count vector and project it into the factor
     /// space: `q̂ = qᵀ U_k Σ_k⁻¹` (Eq. 6). The counts must be over the
@@ -221,700 +376,466 @@ impl LsiModel {
         self.project_counts(&counts)
     }
 
-    /// Cosine of every document against every facet, computed as one
-    /// `V Q̂` matrix product (n_docs × n_facets) scaled by the
-    /// precomputed document norms. Facets with no mass (or documents
-    /// with a zero vector) score 0, matching [`vecops::cosine`].
-    pub(crate) fn facet_cosines(&self, facets: &[&[f64]]) -> Result<DenseMatrix> {
-        let k = self.k();
-        let n = self.n_docs();
-        for f in facets {
-            if f.len() != k {
-                return Err(Error::Inconsistent {
-                    context: format!(
-                        "projected query has {} dimensions but the model has {k} factors",
-                        f.len()
-                    ),
-                });
-            }
-        }
-        let nf = facets.len();
-        if k == 0 || n == 0 {
-            return Ok(DenseMatrix::zeros(n, nf));
-        }
-        // The V·Q̂ product plus the per-cell norm scaling.
-        lsi_obs::add_flops(((2 * k + 3) * n * nf) as f64);
-        lsi_obs::count("query.facets.count", nf as u64);
-        let mut scores = if nf == 1 {
-            // One facet is a GEMV: skip the GEMM's operand packing,
-            // which would copy all of V for a single right-hand side.
-            // The GEMV itself splits document rows across the pool for
-            // large collections (single-query scoring hot path).
-            DenseMatrix::from_col_major(n, 1, ops::matvec(&self.v, facets[0])?)?
-        } else {
-            let qdata: Vec<f64> = facets.iter().flat_map(|f| f.iter().copied()).collect();
-            let qmat = DenseMatrix::from_col_major(k, nf, qdata)?;
-            ops::matmul(&self.v, &qmat)?
-        };
-        for (f, facet) in facets.iter().enumerate() {
-            let qnorm = vecops::nrm2(facet);
-            let col = scores.col_mut(f);
-            for (s, &dnorm) in col.iter_mut().zip(self.doc_norms.iter()) {
-                *s = if qnorm > 0.0 && dnorm > 0.0 {
-                    *s / (dnorm * qnorm)
-                } else {
-                    0.0
-                };
-            }
-        }
-        // Scoring boundary guard: everything downstream (sorting,
-        // thresholding, CLI output) assumes finite cosines, so a NaN or
-        // Inf produced here — by a corrupted model or an armed failpoint
-        // — becomes a typed error instead of silently scrambled ranks.
-        match lsi_fault::eval(lsi_fault::points::CORE_QUERY_SCORE) {
-            Some(lsi_fault::Fired::ReturnErr) => {
-                return Err(Error::Inconsistent {
-                    context: format!(
-                        "fault injected at failpoint `{}`",
-                        lsi_fault::points::CORE_QUERY_SCORE
-                    ),
-                });
-            }
-            Some(lsi_fault::Fired::InjectNan) => {
-                if let Some(first) = scores.data_mut().first_mut() {
-                    *first = f64::NAN;
-                }
-            }
-            None => {}
-        }
-        if !scores.data().iter().all(|s| s.is_finite()) {
-            return Err(Error::NonFinite {
-                context: "cosine scores (query scoring boundary)".into(),
-            });
-        }
-        Ok(scores)
-    }
-
-    pub(crate) fn make_match(&self, j: usize, cosine: f64) -> Match {
-        Match {
-            doc: j,
-            id: self.doc_ids[j].clone(),
-            cosine,
-        }
-    }
-
     /// Rank all documents by cosine to the projected query vector.
     pub fn rank_projected(&self, qhat: &[f64]) -> Result<RankedList> {
-        let scores = self.facet_cosines(&[qhat])?;
-        let scores = scores.col(0);
-        let mut order: Vec<usize> = (0..self.n_docs()).collect();
-        order.sort_by(by_score_desc(scores));
-        Ok(RankedList {
-            matches: order
-                .into_iter()
-                .map(|j| self.make_match(j, scores[j]))
-                .collect(),
-        })
+        let ask = Ask {
+            cols: &[qhat],
+            combine: None,
+            z: self.n_docs(),
+        };
+        self.rank_one(&ask, None, None, &mut Record::off())
     }
 
     /// The `z` best documents for a projected query, without sorting
     /// the full collection. "Typically the z closest documents ... are
     /// returned" — this is the entry point for that typical case.
     ///
-    /// With a reduced [`crate::compressed::Precision`] active, the
-    /// scan runs two-phase: a compressed candidate sweep over all
-    /// documents, then an exact f64 re-rank of the `max(4z, 64)`
-    /// over-fetched candidates. For the f32 ladder a margin check
-    /// certifies the result bit-identical to the exact scan, falling
-    /// back to it whenever certification fails; the i8 ladder trades
-    /// that certificate for an eighth of the bandwidth (the returned
-    /// scores are still exact f64 cosines). [`Precision::Exact`]
-    /// scores everything in f64 through the same shared selection.
+    /// Runs the scoring executor (module docs) under the model's
+    /// [`IndexPolicy`] and [`crate::compressed::Precision`]. The f32
+    /// ladder's top-`z` is certified bit-identical to the f64 sweep over
+    /// the same rows, falling back to that sweep whenever certification
+    /// fails; the i8 ladder trades the certificate for an eighth of the
+    /// bandwidth (the returned scores are still exact f64 cosines). At
+    /// `nprobe = n_lists` every document survives the probe, so the
+    /// pruned ranking is bit-identical to the unpruned one.
     pub fn rank_projected_top(&self, qhat: &[f64], z: usize) -> Result<RankedList> {
-        self.rank_projected_top_at(qhat, z, None)
-    }
-
-    /// [`LsiModel::rank_projected_top`] with a per-call probe-depth
-    /// override: `Some(n)` routes through the trained cluster index at
-    /// depth `n` regardless of the persisted [`IndexPolicy`] (the
-    /// serve degradation ladder narrows probe depth under pressure
-    /// without mutating the model), `None` follows the policy. An
-    /// override with no trained index falls through to the policy
-    /// path — [`LsiModel::train_index`] prepares the index up front.
-    pub(crate) fn rank_projected_top_at(
-        &self,
-        qhat: &[f64],
-        z: usize,
-        nprobe_override: Option<usize>,
-    ) -> Result<RankedList> {
-        querylog::put_str("precision", self.precision().name());
-        querylog::put_num("z", z as f64);
-        let probe = match nprobe_override {
-            Some(n) => self.index.as_ref().map(|ix| (ix, n)),
-            None => match self.index_policy {
-                IndexPolicy::Pruned { nprobe } => {
-                    self.index.as_ref().map(|ix| (ix, nprobe))
-                }
-                IndexPolicy::Exact => None,
-            },
+        let ask = Ask {
+            cols: &[qhat],
+            combine: None,
+            z,
         };
-        if let Some((index, nprobe)) = probe {
-            if let Some(ranked) = self.rank_top_pruned(index, nprobe, qhat, z)? {
-                querylog::put_str("path", "pruned");
-                return Ok(ranked);
-            }
-        }
-        if let Some(store) = self.compressed.as_ref() {
-            if let Some(ranked) = self.rank_top_compressed(store, qhat, z)? {
-                querylog::put_str("path", "compressed");
-                return Ok(ranked);
-            }
-            lsi_obs::count("score.rerank.fallback.count", 1);
-            querylog::put_str("path", "fallback");
-            let t = querylog::phase_timer();
-            let ranked = self.rank_top_exact(qhat, z);
-            querylog::phase_done(t, "fallback_us");
-            return ranked;
-        }
-        querylog::put_str("path", "exact");
-        self.rank_top_exact(qhat, z)
+        let store = self.compressed.as_ref();
+        self.rank_one(&ask, self.probe_plan(None), store, &mut Record::off())
     }
 
-    /// The classic exact top-`z`: one f64 GEMV over all documents plus
-    /// the shared partition-and-sort selection.
-    fn rank_top_exact(&self, qhat: &[f64], z: usize) -> Result<RankedList> {
-        let scores = self.facet_cosines(&[qhat])?;
-        let scores = scores.col(0);
-        let order = select_top_by(self.n_docs(), z, |i| (desc_key_f64(scores[i]), i as u32));
-        Ok(RankedList {
-            matches: order
-                .into_iter()
-                .map(|j| self.make_match(j, scores[j]))
-                .collect(),
-        })
-    }
-
-    /// Exact f64 cosines for a batch of document rows against `qhat`,
-    /// each bit-identical to the full sweep's score for that row: the
-    /// column-outer subset GEMV ([`ops::matvec_rows`]) replays the
-    /// span kernel's arithmetic per row, and the zero-norm guard
-    /// matches `facet_cosines`. Sort `rows` ascending — the batched
-    /// walk is prefetch-friendly in that order, where scattered
-    /// single-row walks over a matrix the candidate sweep just
-    /// evicted cost more than the sweep itself.
-    pub(crate) fn exact_cosines_rows(
-        &self,
-        rows: &[usize],
-        qhat: &[f64],
-        qnorm: f64,
-    ) -> Result<Vec<f64>> {
-        let mut raws = ops::matvec_rows(&self.v, qhat, rows)?;
-        for (raw, &j) in raws.iter_mut().zip(rows.iter()) {
-            let dnorm = self.doc_norms[j];
-            *raw = if qnorm > 0.0 && dnorm > 0.0 {
-                *raw / (dnorm * qnorm)
-            } else {
-                0.0
-            };
-        }
-        Ok(raws)
-    }
-
-    /// Two-phase compressed scan. Returns `Ok(None)` when the exact
-    /// path should serve instead: trivial shapes, a non-finite
-    /// compressed sweep (the failpoint's inject-nan lands here), or an
-    /// uncertified f32 margin.
-    fn rank_top_compressed(
-        &self,
-        store: &CompressedStore,
-        qhat: &[f64],
-        z: usize,
-    ) -> Result<Option<RankedList>> {
-        let k = self.k();
-        let n = self.n_docs();
-        if qhat.len() != k {
-            return Err(Error::Inconsistent {
-                context: format!(
-                    "projected query has {} dimensions but the model has {k} factors",
-                    qhat.len()
-                ),
-            });
-        }
-        if n == 0 || k == 0 || z == 0 {
-            return Ok(None);
-        }
-        let qnorm = vecops::nrm2(qhat);
-        let t_sweep = querylog::phase_timer();
-        let approx = {
-            let _span = lsi_obs::span("score.candidates");
-            // The sweep streams the compressed replica once, plus the
-            // projected query.
-            lsi_obs::add_bytes((store.resident_bytes() + 8 * k) as f64);
-            lsi_obs::add_flops((2 * k + 2) as f64 * n as f64);
-            let mut approx = store.approx_scores(qhat, qnorm)?;
-            // Same scoring-boundary failpoint as the exact path; the
-            // compressed sweep differs in that inject-nan degrades
-            // gracefully (non-finite guard → exact-scan fallback)
-            // instead of erroring, because the exact path is still
-            // available to serve the query.
-            match lsi_fault::eval(lsi_fault::points::CORE_QUERY_SCORE) {
-                Some(lsi_fault::Fired::ReturnErr) => {
-                    return Err(Error::Inconsistent {
-                        context: format!(
-                            "fault injected at failpoint `{}`",
-                            lsi_fault::points::CORE_QUERY_SCORE
-                        ),
-                    });
-                }
-                Some(lsi_fault::Fired::InjectNan) => {
-                    if let Some(first) = approx.first_mut() {
-                        *first = f32::NAN;
-                    }
-                }
-                None => {}
-            }
-            approx
+    /// The probe plan a top-`z` ranking runs under: depth `nprobe` (the
+    /// serving ladder's per-call override) or the persisted
+    /// [`IndexPolicy`]'s, against the trained cluster index. Without a
+    /// trained index every ranking scans all rows —
+    /// [`LsiModel::train_index`] prepares one up front for overrides.
+    pub(crate) fn probe_plan(&self, nprobe: Option<usize>) -> Option<Probe<'_>> {
+        let nprobe = match (nprobe, self.index_policy) {
+            (Some(n), _) | (None, IndexPolicy::Pruned { nprobe: n }) => n,
+            (None, IndexPolicy::Exact) => return None,
         };
-        querylog::phase_done(t_sweep, "sweep_us");
-        if !approx.iter().all(|s| s.is_finite()) {
-            lsi_obs::warn!(
-                "compressed candidate sweep produced non-finite scores; \
-                 falling back to the exact f64 scan"
-            );
-            return Ok(None);
-        }
-        let z = z.min(n);
-        let c = z
-            .saturating_mul(crate::compressed::OVER_FETCH_FACTOR)
-            .max(crate::compressed::OVER_FETCH_FLOOR)
-            .min(n);
-        let candidates =
-            select_top_by(n, c, |i| ((desc_key_f32(approx[i]) as u64) << 32) | i as u64);
-        lsi_obs::count("score.candidates.count", c as u64);
-        querylog::put_num("candidates", c as f64);
-        let t_rerank = querylog::phase_timer();
-        let reranked = {
-            let _span = lsi_obs::span("score.rerank");
-            lsi_obs::add_bytes((c * k * 8) as f64);
-            lsi_obs::add_flops(((2 * k + 3) * c) as f64);
-            // Ascending row order keeps the batched kernel's column
-            // walks prefetch-friendly; result order is irrelevant —
-            // the exact selection below re-sorts by f64 score.
-            let mut by_row = candidates.clone();
-            by_row.sort_unstable();
-            let cosines = self.exact_cosines_rows(&by_row, qhat, qnorm)?;
-            by_row.into_iter().zip(cosines).collect::<Vec<(usize, f64)>>()
-        };
-        querylog::phase_done(t_rerank, "rerank_us");
-        // The exact path's scoring-boundary guard, applied to the
-        // re-ranked scores (the only f64 cosines this path computes).
-        if !reranked.iter().all(|(_, s)| s.is_finite()) {
-            return Err(Error::NonFinite {
-                context: "cosine scores (query scoring boundary)".into(),
-            });
-        }
-        lsi_obs::count("score.rerank.count", candidates.len() as u64);
-        let exact_scores: Vec<f64> = reranked.iter().map(|&(_, s)| s).collect();
-        let doc_of: Vec<usize> = reranked.iter().map(|&(j, _)| j).collect();
-        // Tie-break by position == tie-break by document id: `reranked`
-        // is built in ascending-row order, so `doc_of` is strictly
-        // increasing in position.
-        let order = select_top_by(reranked.len(), z, |i| {
-            (desc_key_f64(exact_scores[i]), i as u32)
-        });
-        // Margin certificate (f32 only): every non-candidate document's
-        // exact cosine is ≤ its approx score + bound ≤ cutoff + bound,
-        // where the cutoff is the worst *selected* approx score (an
-        // upper bound on every excluded one). If the z-th exact score
-        // strictly clears that, no excluded document can belong in the
-        // top-z, and within the candidates the re-rank is exact — the
-        // result is bit-identical to the full f64 scan. Ties at the
-        // boundary fail the strict test and fall back.
-        if c < n {
-            if let Some(bound) = store.rerank_margin(k) {
-                let cutoff = candidates
-                    .last()
-                    .map(|&j| approx[j] as f64)
-                    .unwrap_or(f64::NEG_INFINITY);
-                let s_z = order
-                    .last()
-                    .map(|&i| exact_scores[i])
-                    .unwrap_or(f64::NEG_INFINITY);
-                if !(s_z > cutoff + bound) {
-                    return Ok(None);
-                }
-            }
-        }
-        let out = Ok(Some(RankedList {
-            matches: order
-                .into_iter()
-                .map(|i| self.make_match(doc_of[i], exact_scores[i]))
-                .collect(),
-        }));
-        out
+        self.index.as_ref().map(|index| (index, nprobe))
     }
 
-    /// Cluster-pruned top-`z`: score the ~√n centroids instead of the
-    /// `n` docs, probe the `nprobe` best lists, and sweep only the
-    /// survivors. Returns `Ok(None)` when the exact machinery should
-    /// serve instead (trivial shapes, a stale index, non-finite
-    /// centroid scores, or empty probed lists).
-    ///
-    /// At `nprobe = n_lists` every doc survives, survivor scores are
-    /// bit-identical per row to the full sweep, and ties break by doc
-    /// id exactly as in [`LsiModel::rank_top_exact`] /
-    /// [`LsiModel::rank_top_compressed`] — so the pruned result is
-    /// bit-identical to the unpruned one, in every precision mode.
-    fn rank_top_pruned(
-        &self,
-        index: &ClusterIndex,
-        nprobe: usize,
-        qhat: &[f64],
-        z: usize,
-    ) -> Result<Option<RankedList>> {
-        let k = self.k();
-        let n = self.n_docs();
-        if qhat.len() != k {
-            return Err(Error::Inconsistent {
-                context: format!(
-                    "projected query has {} dimensions but the model has {k} factors",
-                    qhat.len()
-                ),
-            });
-        }
-        if n == 0 || k == 0 || z == 0 || index.k() != k {
-            return Ok(None);
-        }
-        let n_lists = index.n_lists();
-        querylog::put_num("nprobe", nprobe as f64);
-        let nprobe = nprobe.clamp(1, n_lists);
-        let t_probe = querylog::phase_timer();
-        let (probed, survivors, indptr) = {
-            let _span = lsi_obs::span("index.probe");
-            // One dot per centroid list, plus the top-`nprobe` pick.
-            lsi_obs::add_flops((2 * k + 1) as f64 * n_lists as f64);
-            let cscores = index.centroid_scores(qhat)?;
-            if !cscores.iter().all(|s| s.is_finite()) {
-                // Degraded centroid math must not scramble ranks; the
-                // exact scan (whose own boundary guard will fire if the
-                // model itself is corrupt) serves instead.
-                return Ok(None);
-            }
-            let mut probed =
-                select_top_by(n_lists, nprobe, |l| (desc_key_f64(cscores[l]), l as u32));
-            // Ascending list order keeps the concatenated survivor walk
-            // as monotone as the partition allows; ranking is order-free
-            // because every selection below ties-breaks on doc id.
-            probed.sort_unstable();
-            let mut survivors: Vec<u32> = Vec::new();
-            let mut indptr = Vec::with_capacity(probed.len() + 1);
-            indptr.push(0usize);
-            for &l in &probed {
-                survivors.extend_from_slice(index.list(l));
-                indptr.push(survivors.len());
-            }
-            (probed, survivors, indptr)
-        };
-        querylog::phase_done(t_probe, "probe_us");
-        lsi_obs::count("index.lists.count", probed.len() as u64);
-        lsi_obs::count("index.survivors.count", survivors.len() as u64);
-        querylog::put_num("lists_probed", probed.len() as f64);
-        querylog::put_num("survivors", survivors.len() as f64);
-        if survivors.is_empty() {
-            return Ok(None);
-        }
-        let qnorm = vecops::nrm2(qhat);
-        if let Some(store) = self.compressed.as_ref() {
-            if let Some(ranked) =
-                self.rank_pruned_compressed(store, qhat, qnorm, z, &survivors, &indptr)?
-            {
-                return Ok(Some(ranked));
-            }
-            // Degrade to the f64 survivor sweep, not the full scan: the
-            // pruning decision stands, only the precision ladder failed.
-            lsi_obs::count("score.rerank.fallback.count", 1);
-        }
-        let ranked = self.rank_pruned_exact(qhat, qnorm, z, &survivors, &indptr)?;
-        Ok(Some(ranked))
-    }
-
-    /// Exact f64 cosines for every survivor, sharded across the pool in
-    /// list-size-balanced spans ([`nnz_balanced_spans`] over the probed
-    /// lists' prefix sums — the same quantile technique the sparse
-    /// kernels use for nnz balancing). Bit-identical across thread
-    /// counts: span boundaries move with the pool size, but each row's
-    /// score is computed by the same per-row kernel arithmetic wherever
-    /// it lands.
-    fn survivor_cosines(
-        &self,
-        qhat: &[f64],
-        qnorm: f64,
-        survivors: &[u32],
-        indptr: &[usize],
-    ) -> Result<Vec<f64>> {
-        lsi_obs::add_bytes((survivors.len() * self.k() * 8) as f64);
-        lsi_obs::add_flops(((2 * self.k() + 3) * survivors.len()) as f64);
-        // Two spans per worker: balanced by construction, cheap to
-        // compute, and enough slack for the pool's chunker.
-        let spans = nnz_balanced_spans(indptr, rayon::current_num_threads() * 2);
-        let parts: Vec<Result<Vec<f64>>> = spans
-            .into_par_iter()
-            .map(|(l0, l1)| {
-                let rows: Vec<usize> = survivors[indptr[l0]..indptr[l1]]
-                    .iter()
-                    .map(|&d| d as usize)
-                    .collect();
-                self.exact_cosines_rows(&rows, qhat, qnorm)
-            })
-            .collect();
-        let mut scores = Vec::with_capacity(survivors.len());
-        for part in parts {
-            scores.extend(part?);
-        }
-        Ok(scores)
-    }
-
-    /// Pruned scan served entirely in f64: survivor sweep + shared
-    /// selection, with the exact path's scoring-boundary guard.
-    fn rank_pruned_exact(
-        &self,
-        qhat: &[f64],
-        qnorm: f64,
-        z: usize,
-        survivors: &[u32],
-        indptr: &[usize],
-    ) -> Result<RankedList> {
-        let t_sweep = querylog::phase_timer();
-        let mut scores = {
-            let _span = lsi_obs::span("index.survivors");
-            self.survivor_cosines(qhat, qnorm, survivors, indptr)?
-        };
-        querylog::phase_done(t_sweep, "sweep_us");
-        // Same scoring boundary as `facet_cosines`: a corrupted model or
-        // an armed failpoint becomes a typed error, never silent ranks.
-        match lsi_fault::eval(lsi_fault::points::CORE_QUERY_SCORE) {
-            Some(lsi_fault::Fired::ReturnErr) => {
-                return Err(Error::Inconsistent {
-                    context: format!(
-                        "fault injected at failpoint `{}`",
-                        lsi_fault::points::CORE_QUERY_SCORE
-                    ),
-                });
-            }
-            Some(lsi_fault::Fired::InjectNan) => {
-                if let Some(first) = scores.first_mut() {
-                    *first = f64::NAN;
-                }
-            }
-            None => {}
-        }
-        if !scores.iter().all(|s| s.is_finite()) {
-            return Err(Error::NonFinite {
-                context: "cosine scores (query scoring boundary)".into(),
-            });
-        }
-        let order = select_top_by(survivors.len(), z, |i| {
-            (desc_key_f64(scores[i]), survivors[i])
-        });
-        Ok(RankedList {
-            matches: order
-                .into_iter()
-                .map(|i| self.make_match(survivors[i] as usize, scores[i]))
-                .collect(),
-        })
-    }
-
-    /// Pruned scan through the compressed ladder: survivor candidate
-    /// sweep (sharded like [`LsiModel::survivor_cosines`]), exact f64
-    /// re-rank of the over-fetched candidates, and — for f32 — the
-    /// margin certificate against the survivor cutoff. `Ok(None)` means
-    /// the caller should degrade to the f64 survivor sweep (non-finite
-    /// sweep output or an uncertified margin); pruning itself is not
-    /// revisited.
-    fn rank_pruned_compressed(
-        &self,
-        store: &CompressedStore,
-        qhat: &[f64],
-        qnorm: f64,
-        z: usize,
-        survivors: &[u32],
-        indptr: &[usize],
-    ) -> Result<Option<RankedList>> {
-        let k = self.k();
-        let ns = survivors.len();
-        let t_sweep = querylog::phase_timer();
-        let approx = {
-            let _span = lsi_obs::span("score.candidates");
-            lsi_obs::add_bytes((ns * k * 4 + 8 * k) as f64);
-            lsi_obs::add_flops((2 * k + 2) as f64 * ns as f64);
-            let spans = nnz_balanced_spans(indptr, rayon::current_num_threads() * 2);
-            let parts: Vec<lsi_linalg::Result<Vec<f32>>> = spans
-                .into_par_iter()
-                .map(|(l0, l1)| {
-                    store.approx_scores_rows(qhat, qnorm, &survivors[indptr[l0]..indptr[l1]])
-                })
-                .collect();
-            let mut approx = Vec::with_capacity(ns);
-            for part in parts {
-                approx.extend(part?);
-            }
-            // Same boundary failpoint as the unpruned compressed sweep:
-            // inject-nan degrades (the f64 survivor sweep still serves
-            // the query), return-err propagates.
-            match lsi_fault::eval(lsi_fault::points::CORE_QUERY_SCORE) {
-                Some(lsi_fault::Fired::ReturnErr) => {
-                    return Err(Error::Inconsistent {
-                        context: format!(
-                            "fault injected at failpoint `{}`",
-                            lsi_fault::points::CORE_QUERY_SCORE
-                        ),
-                    });
-                }
-                Some(lsi_fault::Fired::InjectNan) => {
-                    if let Some(first) = approx.first_mut() {
-                        *first = f32::NAN;
-                    }
-                }
-                None => {}
-            }
-            approx
-        };
-        querylog::phase_done(t_sweep, "sweep_us");
-        if !approx.iter().all(|s| s.is_finite()) {
-            lsi_obs::warn!(
-                "pruned candidate sweep produced non-finite scores; \
-                 degrading to the f64 survivor sweep"
-            );
-            return Ok(None);
-        }
-        let z = z.min(ns);
-        let c = z
-            .saturating_mul(crate::compressed::OVER_FETCH_FACTOR)
-            .max(crate::compressed::OVER_FETCH_FLOOR)
-            .min(ns);
-        // Tie-break by doc id (the survivor array is a permutation, so
-        // position order is not id order here).
-        let candidates = select_top_by(ns, c, |i| {
-            ((desc_key_f32(approx[i]) as u64) << 32) | survivors[i] as u64
-        });
-        lsi_obs::count("score.candidates.count", c as u64);
-        querylog::put_num("candidates", c as f64);
-        let t_rerank = querylog::phase_timer();
-        let (by_row, cosines) = {
-            let _span = lsi_obs::span("score.rerank");
-            lsi_obs::add_bytes((c * k * 8) as f64);
-            lsi_obs::add_flops(((2 * k + 3) * c) as f64);
-            let mut by_row: Vec<usize> =
-                candidates.iter().map(|&i| survivors[i] as usize).collect();
-            by_row.sort_unstable();
-            let cosines = self.exact_cosines_rows(&by_row, qhat, qnorm)?;
-            (by_row, cosines)
-        };
-        querylog::phase_done(t_rerank, "rerank_us");
-        if !cosines.iter().all(|s| s.is_finite()) {
-            return Err(Error::NonFinite {
-                context: "cosine scores (query scoring boundary)".into(),
-            });
-        }
-        lsi_obs::count("score.rerank.count", by_row.len() as u64);
-        let order = select_top_by(by_row.len(), z, |i| {
-            (desc_key_f64(cosines[i]), by_row[i] as u32)
-        });
-        // Margin certificate (f32 only), relative to the survivor set:
-        // within the survivors the certified top-z is bit-identical to
-        // the f64 survivor sweep's — which makes the whole pruned path
-        // bit-identical to the exact scan when every doc survives.
-        if c < ns {
-            if let Some(bound) = store.rerank_margin(k) {
-                let cutoff = candidates
-                    .last()
-                    .map(|&i| approx[i] as f64)
-                    .unwrap_or(f64::NEG_INFINITY);
-                let s_z = order
-                    .last()
-                    .map(|&i| cosines[i])
-                    .unwrap_or(f64::NEG_INFINITY);
-                if !(s_z > cutoff + bound) {
-                    return Ok(None);
-                }
-            }
-        }
-        Ok(Some(RankedList {
-            matches: order
-                .into_iter()
-                .map(|i| self.make_match(by_row[i], cosines[i]))
-                .collect(),
-        }))
-    }
-
-    /// Query by free text: project and rank.
+    /// Query by free text: project and rank every document.
     pub fn query(&self, text: &str) -> Result<RankedList> {
-        let _span = lsi_obs::span("query");
-        let qlog = querylog::begin("full");
-        querylog::put_num("n_docs", self.n_docs() as f64);
-        let t0 = std::time::Instant::now();
-        let t_proj = querylog::phase_timer();
-        let qhat = self.project_text(text)?;
-        querylog::phase_done(t_proj, "project_us");
-        querylog::put_str("path", "full");
-        let ranked = self.rank_projected(&qhat)?;
-        lsi_obs::count("query.count", 1);
-        lsi_obs::observe("query.time.us", t0.elapsed().as_secs_f64() * 1e6);
-        qlog.finish(&ranked);
-        Ok(ranked)
+        self.query_full("full", || self.project_text(text))
     }
 
-    /// Query by free text, returning only the top `z` documents
-    /// (partition + partial sort instead of a full ranking).
+    /// Query by free text, returning only the top `z` documents (a
+    /// partial selection instead of a full ranking): a batch of one
+    /// through [`LsiModel::query_top_batch`].
     pub fn query_top(&self, text: &str, z: usize) -> Result<RankedList> {
-        self.query_top_with(text, z, None)
-    }
-
-    /// [`LsiModel::query_top`] with a per-call probe-depth override
-    /// (see [`LsiModel::rank_projected_top_at`]): the serving layer's
-    /// degradation ladder narrows retrieval through the trained
-    /// cluster index without mutating the persisted policy. `None`
-    /// behaves exactly like [`LsiModel::query_top`].
-    pub fn query_top_with(
-        &self,
-        text: &str,
-        z: usize,
-        nprobe_override: Option<usize>,
-    ) -> Result<RankedList> {
-        let _span = lsi_obs::span("query");
-        let qlog = querylog::begin("top");
-        querylog::put_num("n_docs", self.n_docs() as f64);
-        let t0 = std::time::Instant::now();
-        let t_proj = querylog::phase_timer();
-        let qhat = self.project_text(text)?;
-        querylog::phase_done(t_proj, "project_us");
-        let ranked = self.rank_projected_top_at(&qhat, z, nprobe_override)?;
-        lsi_obs::count("query.count", 1);
-        lsi_obs::observe("query.time.us", t0.elapsed().as_secs_f64() * 1e6);
-        qlog.finish(&ranked);
-        Ok(ranked)
+        let query = BatchQuery {
+            text: text.to_string(),
+            z,
+            ctx: None,
+        };
+        self.query_top_batch(vec![query])
+            .pop()
+            .unwrap_or_else(|| Ok(RankedList::default()))
     }
 
     /// Rank documents against an existing *document* (query-by-example;
     /// relevance feedback replaces the query with relevant documents'
     /// vectors, §5.1).
     pub fn query_by_doc(&self, doc: usize) -> Result<RankedList> {
-        let _span = lsi_obs::span("query");
-        lsi_obs::count("query.count", 1);
         if doc >= self.n_docs() {
             return Err(Error::Inconsistent {
                 context: format!("document {doc} out of range ({} docs)", self.n_docs()),
             });
         }
-        let qlog = querylog::begin("doc");
-        querylog::put_num("n_docs", self.n_docs() as f64);
-        querylog::put_str("path", "full");
         // One contiguous copy of the (strided) document row, as the
         // GEMV operand — the per-row scoring itself is allocation-free.
-        let qhat = self.doc_row(doc).to_vec();
+        self.query_full("doc", || Ok(self.doc_row(doc).to_vec()))
+    }
+
+    /// The full-ranking entry points: the query vector from `project`,
+    /// ranked against every document under a query-log record of `kind`.
+    fn query_full(
+        &self,
+        kind: &'static str,
+        project: impl FnOnce() -> Result<Vec<f64>>,
+    ) -> Result<RankedList> {
+        let _span = lsi_obs::span("query");
+        let t0 = std::time::Instant::now();
+        let mut rec = Record::new(kind, None);
+        rec.num("n_docs", self.n_docs() as f64);
+        let t_proj = querylog::timer();
+        let qhat = project()?;
+        rec.done(t_proj, "project_us");
+        rec.str("path", "full");
         let ranked = self.rank_projected(&qhat)?;
-        qlog.finish(&ranked);
+        lsi_obs::count("query.count", 1);
+        lsi_obs::observe("query.time.us", t0.elapsed().as_secs_f64() * 1e6);
+        rec.finish(&ranked);
         Ok(ranked)
+    }
+
+    /// One ranking through [`LsiModel::rank_top`]. A full ranking is
+    /// `z = n` with neither probe nor store: the f64 sweep over all
+    /// rows and the shared selection.
+    pub(crate) fn rank_one(
+        &self,
+        ask: &Ask,
+        probe: Option<Probe>,
+        store: Option<&CompressedStore>,
+        rec: &mut Record,
+    ) -> Result<RankedList> {
+        let mut lists =
+            self.rank_top(std::slice::from_ref(ask), probe, store, std::slice::from_mut(rec))?;
+        Ok(lists.pop().unwrap_or_default())
+    }
+
+    /// The executor, over a block of rankings. Its plan has two axes:
+    /// `probe` (stage 1 probes it for each single-column ranking, each
+    /// on its own lists; other rankings take all rows) and `store`
+    /// (stages 2–3 run through the compressed replica when given).
+    /// Every ranking they did not serve goes through the f64 sweep and
+    /// the shared selection. `recs[i]` collects ranking `i`'s query-log
+    /// fields. Any error fails the whole block.
+    pub(crate) fn rank_top(
+        &self,
+        asks: &[Ask],
+        probe: Option<Probe>,
+        store: Option<&CompressedStore>,
+        recs: &mut [Record],
+    ) -> Result<Vec<RankedList>> {
+        let k = self.k();
+        if let Some(col) = asks.iter().flat_map(|a| a.cols).find(|c| c.len() != k) {
+            return Err(Error::Inconsistent {
+                context: format!(
+                    "projected query has {} dimensions but the model has {k} factors",
+                    col.len()
+                ),
+            });
+        }
+        let mut rows = Vec::with_capacity(asks.len());
+        for (ask, rec) in asks.iter().zip(recs.iter_mut()) {
+            rec.str("precision", self.precision().name());
+            rec.num("z", ask.z as f64);
+            rows.push(match (ask.cols, probe) {
+                ([col], Some(probe)) => self.probe_rows(col, probe, ask.z, rec)?,
+                _ => Rows::All(self.n_docs()),
+            });
+        }
+        let rows = &rows;
+        let block = |which: &[usize]| -> Vec<(&[f64], &Rows)> {
+            which
+                .iter()
+                .flat_map(|&i| asks[i].cols.iter().map(move |&col| (col, &rows[i])))
+                .collect()
+        };
+        let mut served: Vec<Option<RankedList>> = asks.iter().map(|_| None).collect();
+        if let Some(store) = store {
+            let t_sweep = querylog::timer();
+            let all: Vec<usize> = (0..asks.len()).collect();
+            let approx = self.sweep_compressed(store, &block(&all))?;
+            recs.iter_mut().for_each(|rec| rec.done(t_sweep, "sweep_us"));
+            let mut first = 0;
+            for (i, ask) in asks.iter().enumerate() {
+                let cols = &approx[first..first + ask.cols.len()];
+                first += ask.cols.len();
+                if cols.iter().all(|c| c.iter().all(|s| s.is_finite())) {
+                    served[i] = self.certify(store, ask, &rows[i], cols, &mut recs[i])?;
+                } else {
+                    lsi_obs::warn!(
+                        "compressed candidate sweep produced non-finite scores; \
+                         falling back to the f64 sweep"
+                    );
+                }
+                if served[i].is_none() {
+                    lsi_obs::count("score.rerank.fallback.count", 1);
+                }
+            }
+        }
+        let rest: Vec<usize> = (0..asks.len()).filter(|&i| served[i].is_none()).collect();
+        if !rest.is_empty() {
+            let t_sweep = querylog::timer();
+            let (data, offs) = self.sweep_f64(&block(&rest))?;
+            let phase = if store.is_some() { "fallback_us" } else { "sweep_us" };
+            rest.iter().for_each(|&i| recs[i].done(t_sweep, phase));
+            let mut first = 0;
+            for &i in &rest {
+                let nf = asks[i].cols.len();
+                let cols: Vec<&[f64]> =
+                    (first..first + nf).map(|c| &data[offs[c]..offs[c + 1]]).collect();
+                served[i] = Some(self.select_exact(&asks[i], &rows[i], &cols)?);
+                first += nf;
+            }
+        }
+        for (i, rec) in recs.iter_mut().enumerate() {
+            rec.str(
+                "path",
+                match (&rows[i], store) {
+                    (Rows::Probed { .. }, _) => "pruned",
+                    (Rows::All(_), None) => "exact",
+                    (Rows::All(_), Some(_)) if rest.binary_search(&i).is_ok() => "fallback",
+                    (Rows::All(_), Some(_)) => "compressed",
+                },
+            );
+        }
+        Ok(served.into_iter().flatten().collect())
+    }
+
+    /// Stage 1 for one projected column under a probe plan: score the
+    /// ~√n centroids instead of the `n` docs, probe the `nprobe` best
+    /// lists, and keep their documents. Falls back to all rows on
+    /// trivial shapes, a stale index, non-finite centroid scores or
+    /// empty probed lists.
+    fn probe_rows(
+        &self,
+        qhat: &[f64],
+        (index, nprobe): Probe,
+        z: usize,
+        rec: &mut Record,
+    ) -> Result<Rows> {
+        let k = self.k();
+        let all = Rows::All(self.n_docs());
+        if self.n_docs() == 0 || k == 0 || z == 0 || index.k() != k {
+            return Ok(all);
+        }
+        rec.num("nprobe", nprobe as f64);
+        let n_lists = index.n_lists();
+        let t_probe = querylog::timer();
+        let span = lsi_obs::span("index.probe");
+        // One dot per centroid list, plus the top-`nprobe` pick.
+        lsi_obs::add_flops((2 * k + 1) as f64 * n_lists as f64);
+        let cscores = index.centroid_scores(qhat)?;
+        if !cscores.iter().all(|s| s.is_finite()) {
+            // Degraded centroid math must not scramble ranks; the
+            // all-rows sweep (whose own boundary guard fires if the
+            // model itself is corrupt) serves instead.
+            return Ok(all);
+        }
+        let mut probed = select_top_by(n_lists, nprobe.max(1).min(n_lists), |l| {
+            (desc_key_f64(cscores[l]), l as u32)
+        });
+        // Ascending list order keeps the survivor walk as monotone as
+        // the partition allows; every selection breaks ties on doc id,
+        // so ranking is order-free.
+        probed.sort_unstable();
+        let mut ids: Vec<u32> = Vec::new();
+        let mut indptr = vec![0];
+        for &l in &probed {
+            ids.extend_from_slice(index.list(l));
+            indptr.push(ids.len());
+        }
+        drop(span);
+        rec.done(t_probe, "probe_us");
+        lsi_obs::count("index.lists.count", probed.len() as u64);
+        lsi_obs::count("index.survivors.count", ids.len() as u64);
+        rec.num("lists_probed", probed.len() as f64);
+        rec.num("survivors", ids.len() as f64);
+        Ok(if ids.is_empty() {
+            all
+        } else {
+            Rows::Probed { ids, indptr }
+        })
+    }
+
+    /// Stage 2 in f64: exact cosines of each block column against its
+    /// rows, column `c` at `data[offs[c]..offs[c + 1]]`. A block of
+    /// several all-rows columns is one GEMM (`V` is streamed once for
+    /// all of them); otherwise each column runs alone, through the GEMV
+    /// over all rows or the list-sharded subset GEMV over probed rows.
+    fn sweep_f64(&self, block: &[(&[f64], &Rows)]) -> Result<(Vec<f64>, Vec<usize>)> {
+        let (n, k) = (self.n_docs(), self.k());
+        let norms = || self.doc_norms.iter().copied();
+        lsi_obs::count("query.facets.count", block.len() as u64);
+        let mut offs = vec![0];
+        let mut data = Vec::new();
+        if block.len() > 1 && block.iter().all(|(_, r)| matches!(r, Rows::All(_))) {
+            lsi_obs::add_flops(((2 * k + 3) * n * block.len()) as f64);
+            let q: Vec<f64> = block.iter().flat_map(|(col, _)| col.iter().copied()).collect();
+            data = ops::matmul(&self.v, &DenseMatrix::from_col_major(k, block.len(), q)?)?
+                .into_col_major();
+            for (c, (col, _)) in block.iter().enumerate() {
+                to_cosines(&mut data[c * n..(c + 1) * n], vecops::nrm2(col), norms());
+                offs.push((c + 1) * n);
+            }
+        } else {
+            for &(col, rows) in block {
+                let qnorm = vecops::nrm2(col);
+                lsi_obs::add_flops(((2 * k + 3) * rows.len()) as f64);
+                let scores = match rows {
+                    // One column is a GEMV: no operand packing for a
+                    // single right-hand side, and document rows split
+                    // across the pool for large collections.
+                    Rows::All(_) => {
+                        let mut y = ops::matvec(&self.v, col)?;
+                        to_cosines(&mut y, qnorm, norms());
+                        y
+                    }
+                    // Survivors run on the column-outer subset GEMV,
+                    // which replays the GEMV's per-row arithmetic.
+                    Rows::Probed { ids, indptr } => {
+                        let _span = lsi_obs::span("index.survivors");
+                        lsi_obs::add_bytes((ids.len() * k * 8) as f64);
+                        sharded(ids, indptr, |part| {
+                            let part: Vec<usize> = part.iter().map(|&d| d as usize).collect();
+                            let mut raw = ops::matvec_rows(&self.v, col, &part)?;
+                            to_cosines(&mut raw, qnorm, part.iter().map(|&j| self.doc_norms[j]));
+                            Ok(raw)
+                        })?
+                    }
+                };
+                if data.is_empty() {
+                    data = scores;
+                } else {
+                    data.extend_from_slice(&scores);
+                }
+                offs.push(data.len());
+            }
+        }
+        score_failpoint(data.first_mut(), f64::NAN)?;
+        check_finite(&data)?;
+        Ok((data, offs))
+    }
+
+    /// Stage 2 through the compressed replica: approximate cosines of
+    /// each block column against its rows, column by column on the
+    /// f32/i8 GEMV (all rows) or the list-sharded subset kernels
+    /// (probed rows). Unlike the f64 sweep, non-finite output is not an
+    /// error here: the caller sends that ranking to the f64 sweep,
+    /// which can still serve it.
+    fn sweep_compressed(
+        &self,
+        store: &CompressedStore,
+        block: &[(&[f64], &Rows)],
+    ) -> Result<Vec<Vec<f32>>> {
+        let _span = lsi_obs::span("score.candidates");
+        let k = self.k();
+        let row_bytes = store.resident_bytes() / self.n_docs().max(1);
+        let mut approx = Vec::with_capacity(block.len());
+        for &(col, rows) in block {
+            // Each column streams its rows of the replica once, plus
+            // the projected query.
+            lsi_obs::add_bytes((row_bytes * rows.len() + 8 * k) as f64);
+            lsi_obs::add_flops((2 * k + 2) as f64 * rows.len() as f64);
+            let qnorm = vecops::nrm2(col);
+            approx.push(match rows {
+                Rows::All(_) => store.approx_scores(col, qnorm, None)?,
+                Rows::Probed { ids, indptr } => sharded(ids, indptr, |part| {
+                    Ok(store.approx_scores(col, qnorm, Some(part))?)
+                })?,
+            });
+        }
+        score_failpoint(approx.iter_mut().find_map(|a| a.first_mut()), f32::NAN)?;
+        Ok(approx)
+    }
+
+    /// Stage 3 behind the compressed sweep: over-fetch `max(4z, 64)`
+    /// candidates by approximate fused score, re-rank them exactly in
+    /// f64, and — for the f32 ladder — certify the top-`z`. `Ok(None)`
+    /// sends the ranking to the f64 sweep over the same rows.
+    ///
+    /// Margin certificate: every facet cosine of a non-candidate is
+    /// within `bound` of its approximate score, so its fused score is
+    /// at most the cutoff plus `L·bound`, where `L` is
+    /// [`Combine::lipschitz`] (1 for a single column) and the cutoff is
+    /// the worst *selected* approximate score (an upper bound on every
+    /// excluded one). If the z-th exact score strictly clears that, no
+    /// excluded document can belong in the top-`z`, and within the
+    /// candidates the re-rank is exact — the result is bit-identical to
+    /// the f64 sweep over the same rows. Ties at the boundary fail the
+    /// strict test and fall back. The i8 ladder has no bound: its
+    /// candidate set is approximate, its returned scores still exact.
+    fn certify(
+        &self,
+        store: &CompressedStore,
+        ask: &Ask,
+        rows: &Rows,
+        approx: &[Vec<f32>],
+        rec: &mut Record,
+    ) -> Result<Option<RankedList>> {
+        let (k, n, nf) = (self.k(), rows.len(), ask.cols.len());
+        let z = ask.z.min(n);
+        let c = z
+            .saturating_mul(OVER_FETCH_FACTOR)
+            .max(OVER_FETCH_FLOOR)
+            .min(n);
+        // The combine always runs in f64; only the facet cosines are
+        // approximate.
+        let fused = fuse(ask.combine, nf, n, |f, i| approx[f][i] as f64)?;
+        let approx_at = |i: usize| match &fused {
+            Some(s) => s[i],
+            None => approx[0][i] as f64,
+        };
+        let candidates = match (&fused, rows) {
+            (Some(f), _) => select_top_by(n, c, |i| (desc_key_f64(f[i]), rows.doc(i) as u32)),
+            (None, Rows::All(_)) => pick_f32(&approx[0], c, |i| i as u32),
+            (None, Rows::Probed { ids, .. }) => pick_f32(&approx[0], c, |i| ids[i]),
+        };
+        lsi_obs::count("score.candidates.count", c as u64);
+        rec.num("candidates", c as f64);
+        let t_rerank = querylog::timer();
+        // Ascending document order: slot order is document order.
+        let mut docs: Vec<usize> = candidates.iter().map(|&i| rows.doc(i)).collect();
+        docs.sort_unstable();
+        let exact = {
+            let _span = lsi_obs::span("score.rerank");
+            lsi_obs::add_bytes((c * k * 8) as f64);
+            lsi_obs::add_flops(((2 * k + 3) * c * nf) as f64);
+            // The column-outer subset GEMV replays the all-rows GEMV's
+            // per-row arithmetic, so each re-ranked cosine is
+            // bit-identical to the f64 sweep's; walking the candidates in
+            // ascending order keeps its column reads prefetch-friendly.
+            let mut per_col = Vec::with_capacity(nf);
+            for col in ask.cols {
+                let mut raw = ops::matvec_rows(&self.v, col, &docs)?;
+                to_cosines(&mut raw, vecops::nrm2(col), docs.iter().map(|&j| self.doc_norms[j]));
+                per_col.push(raw);
+            }
+            match fuse(ask.combine, nf, docs.len(), |f, i| per_col[f][i])? {
+                Some(s) => s,
+                None => per_col.into_iter().next().unwrap_or_default(),
+            }
+        };
+        rec.done(t_rerank, "rerank_us");
+        lsi_obs::count("score.rerank.count", docs.len() as u64);
+        check_finite(&exact)?;
+        let ranked = self.select(&exact, z, |i| docs[i]);
+        if c < n {
+            if let Some(bound) = store.rerank_margin(k) {
+                let bound = bound * ask.combine.map_or(1.0, |cb| cb.lipschitz());
+                let cutoff = candidates.last().map_or(f64::NEG_INFINITY, |&i| approx_at(i));
+                let s_z = ranked.matches.last().map_or(f64::NEG_INFINITY, |m| m.cosine);
+                if !(s_z > cutoff + bound) {
+                    return Ok(None);
+                }
+            }
+        }
+        Ok(Some(ranked))
+    }
+
+    /// Stage 3 over the f64 sweep's columns for one ranking: fuse them,
+    /// then the shared selection.
+    fn select_exact(&self, ask: &Ask, rows: &Rows, cols: &[&[f64]]) -> Result<RankedList> {
+        let fused = fuse(ask.combine, cols.len(), rows.len(), |c, i| cols[c][i])?;
+        let scores = fused.as_deref().or(cols.first().copied()).unwrap_or_default();
+        Ok(match rows {
+            Rows::All(_) => self.select(scores, ask.z, |i| i),
+            Rows::Probed { ids, .. } => self.select(scores, ask.z, |i| ids[i] as usize),
+        })
+    }
+
+    /// The shared selection: the top-`z` slots by exact score, ties
+    /// broken by document id (`doc(i)` for slot `i`), as a ranked list.
+    fn select(&self, scores: &[f64], z: usize, doc: impl Fn(usize) -> usize) -> RankedList {
+        let order = select_top_by(scores.len(), z, |i| (desc_key_f64(scores[i]), doc(i) as u32));
+        let matches = order.into_iter().map(|i| Match {
+            doc: doc(i),
+            id: self.doc_ids[doc(i)].clone(),
+            cosine: scores[i],
+        });
+        RankedList {
+            matches: matches.collect(),
+        }
     }
 
     /// Rank the model's *terms* by cosine to the projected vector —
@@ -941,7 +862,7 @@ impl LsiModel {
             .collect();
         scored.sort_by(|a, b| {
             b.2.partial_cmp(&a.2)
-                .unwrap_or(Ordering::Equal)
+                .unwrap_or(std::cmp::Ordering::Equal)
                 .then_with(|| a.0.cmp(&b.0))
         });
         scored.truncate(z);

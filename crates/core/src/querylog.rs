@@ -1,9 +1,9 @@
 //! Structured per-query log: one JSON line per served query.
 //!
 //! This is the record the `lsi serve` daemon emits per request; the
-//! batch entry points ([`LsiModel::query`], [`LsiModel::query_top`],
+//! one-shot entry points ([`LsiModel::query`], [`LsiModel::query_top`],
 //! [`LsiModel::query_by_doc`]) emit it too, so the schema is shared
-//! between one-shot CLI runs and the daemon.
+//! between CLI runs and the daemon.
 //!
 //! [`LsiModel::query`]: crate::LsiModel::query
 //! [`LsiModel::query_top`]: crate::LsiModel::query_top
@@ -15,40 +15,40 @@
 //! budget as the failpoint fast path (DESIGN.md §3g).
 //!
 //! Schema (one compact JSON object per line; fields absent when the
-//! path that produces them did not run):
+//! stage that produces them did not run):
 //!
 //! ```json
-//! {"trace_id":"q1234-7","kind":"top","n_docs":2000,"z":10,
-//!  "precision":"f32","path":"pruned","nprobe":8,"lists_probed":8,
-//!  "survivors":1180,"candidates":64,"probe_us":2.3,
-//!  "project_us":8.1,"sweep_us":41.2,"rerank_us":12.9,
+//! {"trace_id":"q1234-7","kind":"top","n_docs":2000,"batch":3,
+//!  "project_us":8.1,"precision":"f32","z":10,"nprobe":8,
+//!  "lists_probed":8,"survivors":1180,"probe_us":2.3,"sweep_us":41.2,
+//!  "candidates":64,"rerank_us":12.9,"path":"pruned",
 //!  "results":10,"top_score":0.93,"margin":0.04,"total_us":78.5}
 //! ```
 //!
-//! `path` is the scoring path actually taken: `pruned` (the cluster
-//! index served it — `nprobe` is the requested probe depth,
-//! `lists_probed` the clamped number of lists actually probed,
-//! `survivors` the docs swept, and `probe_us` the centroid scan),
-//! `compressed` (unpruned sweep + re-rank served it), `fallback`
-//! (sweep ran, certification failed or the sweep degraded, exact scan
-//! served it — `fallback_us` carries the scan), `exact` (no compressed
-//! store; `full` for the full-sort entry points), `batch` (the serve
-//! coalesced-GEMM path — `batch` carries the coalesced query count).
-//! `margin` is the top-1 − top-2 exact cosine gap.
+//! `path` is how the scoring executor served the query: `pruned` (its
+//! rows were the survivors of the probed cluster lists — `nprobe` is
+//! the requested probe depth, `lists_probed` the clamped number of
+//! lists actually probed, `survivors` the docs swept, and `probe_us`
+//! the centroid scan), `compressed` (all rows, the compressed sweep
+//! plus exact re-rank served it), `fallback` (the compressed sweep ran
+//! but could not certify or went non-finite, so the f64 sweep over the
+//! same rows served it — `fallback_us` carries that sweep), `exact` (no
+//! compressed store), or `full` for the full-ranking entry points.
+//! `batch` is the number of queries scored together in one executor
+//! call. `margin` is the top-1 − top-2 exact cosine gap.
 //!
 //! `trace_id` defaults to a per-process `q<pid>-<seq>`; a serving
-//! layer overrides it per request via [`set_request_context`] so the
-//! daemon's query-log lines join with its access-log lines on the
-//! request id, and `wait_us` (time spent queued before scoring) rides
-//! along with the phase timings.
+//! layer overrides it per request through the [`RequestCtx`] it hands
+//! to the batch entry point, so the daemon's query-log lines join with
+//! its access-log lines on the request id, and `wait_us` (time spent
+//! queued before scoring) rides along with the phase timings.
 //! Only successfully served queries are logged; errors surface through
 //! the usual typed-error path and event log instead.
 //!
-//! The record accumulates in a thread-local while the query runs, so
-//! concurrent queries on different threads never interleave fields;
-//! the final line write is serialized by a sink mutex.
+//! Each query's fields accumulate in its own `Record`, so the queries
+//! of one batch never interleave fields; the final line write is
+//! serialized by a sink mutex.
 
-use std::cell::RefCell;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -100,7 +100,7 @@ pub(crate) fn enabled() -> bool {
     sink().is_some()
 }
 
-/// Request-scoped context a serving layer stamps onto the next query's
+/// Request-scoped context a serving layer stamps onto a query's
 /// record: the server's request id (so query-log lines join with
 /// access-log lines) and the time the request spent queued.
 #[derive(Debug, Clone)]
@@ -112,168 +112,114 @@ pub struct RequestCtx {
     pub wait_us: f64,
 }
 
-struct Active {
-    t0: Instant,
+/// Start timing a phase: `Some(now)` only when logging is armed, so
+/// disarmed runs never touch the clock.
+pub(crate) fn timer() -> Option<Instant> {
+    enabled().then(Instant::now)
+}
+
+/// One query's record, filled while the query is scored and written by
+/// [`Record::finish`]. Inert when logging is disarmed: no allocation,
+/// no clock reads, and every setter is a no-op.
+pub(crate) struct Record {
+    /// Start of the query; `None` for an inert record.
+    t0: Option<Instant>,
     ctx: Option<RequestCtx>,
     fields: Vec<(&'static str, Json)>,
 }
 
-thread_local! {
-    // One query runs per thread at a time (the entry points do not
-    // nest), so a single slot suffices.
-    static ACTIVE: RefCell<Option<Active>> = const { RefCell::new(None) };
-    // Context staged by set_request_context for the next begin().
-    static PENDING: RefCell<Option<RequestCtx>> = const { RefCell::new(None) };
-}
-
-/// Stage per-request context for the next query served on this thread:
-/// its record's `trace_id` becomes `ctx.trace_id` and a `wait_us`
-/// field is added. Consumed by the next query entry point; a no-op
-/// when logging is disarmed.
-pub fn set_request_context(ctx: RequestCtx) {
-    if !enabled() {
-        return;
-    }
-    PENDING.with(|p| *p.borrow_mut() = Some(ctx));
-}
-
-fn take_request_context() -> Option<RequestCtx> {
-    PENDING.with(|p| p.borrow_mut().take())
-}
-
-/// Guard for one query's record; created by [`begin`], emitted by
-/// [`QueryLog::finish`]. Dropping without `finish` (an error path)
-/// discards the partial record.
-pub(crate) struct QueryLog {
-    armed: bool,
-}
-
-/// Start a record for one query of the given kind (`"full"`, `"top"`,
-/// `"doc"`). No-op (and near-free) when logging is disarmed.
-pub(crate) fn begin(kind: &'static str) -> QueryLog {
-    if !enabled() {
-        return QueryLog { armed: false };
-    }
-    ACTIVE.with(|a| {
-        *a.borrow_mut() = Some(Active {
-            t0: Instant::now(),
-            ctx: take_request_context(),
-            fields: vec![("kind", Json::Str(kind.to_string()))],
-        });
-    });
-    QueryLog { armed: true }
-}
-
-/// Set (or overwrite) a field on the in-flight record, if any.
-pub(crate) fn put(key: &'static str, v: Json) {
-    if !enabled() {
-        return;
-    }
-    ACTIVE.with(|a| {
-        if let Some(act) = a.borrow_mut().as_mut() {
-            act.fields.retain(|(k, _)| *k != key);
-            act.fields.push((key, v));
+impl Record {
+    /// Start a record for one query of the given kind (`"full"`,
+    /// `"top"`, `"doc"`).
+    pub(crate) fn new(kind: &'static str, ctx: Option<RequestCtx>) -> Record {
+        if !enabled() {
+            return Record::off();
         }
-    });
-}
-
-pub(crate) fn put_num(key: &'static str, v: f64) {
-    put(key, Json::Num(v));
-}
-
-pub(crate) fn put_str(key: &'static str, v: &str) {
-    put(key, Json::Str(v.to_string()));
-}
-
-/// Start timing a phase: `Some(now)` only when a record is in flight,
-/// so disarmed runs never touch the clock.
-pub(crate) fn phase_timer() -> Option<Instant> {
-    if !enabled() {
-        return None;
+        Record {
+            t0: Some(Instant::now()),
+            ctx,
+            fields: vec![("kind", Json::Str(kind.to_string()))],
+        }
     }
-    ACTIVE
-        .with(|a| a.borrow().is_some())
-        .then(Instant::now)
-}
 
-/// Record the elapsed phase time under `key` (µs).
-pub(crate) fn phase_done(t0: Option<Instant>, key: &'static str) {
-    if let Some(t0) = t0 {
-        put_num(key, t0.elapsed().as_secs_f64() * 1e6);
+    /// A record that is never written: rankings requested directly
+    /// through the projected-vector API.
+    pub(crate) fn off() -> Record {
+        Record {
+            t0: None,
+            ctx: None,
+            fields: Vec::new(),
+        }
     }
-}
 
-impl QueryLog {
+    /// Set (or overwrite) a field.
+    pub(crate) fn put(&mut self, key: &'static str, v: Json) {
+        if self.t0.is_some() {
+            self.fields.retain(|(k, _)| *k != key);
+            self.fields.push((key, v));
+        }
+    }
+
+    pub(crate) fn num(&mut self, key: &'static str, v: f64) {
+        self.put(key, Json::Num(v));
+    }
+
+    pub(crate) fn str(&mut self, key: &'static str, v: &str) {
+        if self.t0.is_some() {
+            self.put(key, Json::Str(v.to_string()));
+        }
+    }
+
+    /// Record the time since `t` (from [`timer`]) under `key`, in µs.
+    pub(crate) fn done(&mut self, t: Option<Instant>, key: &'static str) {
+        if let Some(t) = t {
+            self.num(key, t.elapsed().as_secs_f64() * 1e6);
+        }
+    }
+
     /// Emit the record for a successfully served query: stamps the
     /// trace id, result stats, and total latency, then writes one
     /// compact JSON line to the sink.
-    pub(crate) fn finish(mut self, ranked: &RankedList) {
-        if !self.armed {
-            return;
-        }
-        self.armed = false;
-        let Some(act) = ACTIVE.with(|a| a.borrow_mut().take()) else {
+    pub(crate) fn finish(self, ranked: &RankedList) {
+        let Some(t0) = self.t0 else {
             return;
         };
-        let total_us = act.t0.elapsed().as_secs_f64() * 1e6;
-        emit(act.ctx, act.fields, ranked, total_us);
-    }
-}
-
-/// Build and write one complete record without the thread-local slot —
-/// the coalesced batch path emits one record per query after a shared
-/// sweep, which a single in-flight slot cannot interleave.
-pub(crate) fn emit(
-    ctx: Option<RequestCtx>,
-    fields: Vec<(&'static str, Json)>,
-    ranked: &RankedList,
-    total_us: f64,
-) {
-    if !enabled() {
-        return;
-    }
-    let (trace_id, wait_us) = match ctx {
-        Some(c) => (c.trace_id, Some(c.wait_us)),
-        None => (
-            format!(
-                "q{}-{}",
-                std::process::id(),
-                // Relaxed: see SEQ.
-                SEQ.fetch_add(1, Ordering::Relaxed)
+        let (trace_id, wait_us) = match self.ctx {
+            Some(c) => (c.trace_id, Some(c.wait_us)),
+            None => (
+                format!(
+                    "q{}-{}",
+                    std::process::id(),
+                    // Relaxed: see SEQ.
+                    SEQ.fetch_add(1, Ordering::Relaxed)
+                ),
+                None,
             ),
-            None,
-        ),
-    };
-    let mut out: Vec<(String, Json)> =
-        vec![("trace_id".to_string(), Json::Str(trace_id))];
-    out.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
-    if let Some(w) = wait_us {
-        out.push(("wait_us".to_string(), Json::Num(w)));
-    }
-    out.push((
-        "results".to_string(),
-        Json::Num(ranked.matches.len() as f64),
-    ));
-    if let Some(top) = ranked.matches.first() {
-        out.push(("top_score".to_string(), Json::Num(top.cosine)));
-        if let Some(second) = ranked.matches.get(1) {
-            out.push((
-                "margin".to_string(),
-                Json::Num(top.cosine - second.cosine),
-            ));
+        };
+        let mut out: Vec<(String, Json)> =
+            vec![("trace_id".to_string(), Json::Str(trace_id))];
+        out.extend(self.fields.into_iter().map(|(k, v)| (k.to_string(), v)));
+        if let Some(w) = wait_us {
+            out.push(("wait_us".to_string(), Json::Num(w)));
         }
-    }
-    out.push(("total_us".to_string(), Json::Num(total_us)));
-    write_line(&Json::Obj(out).to_string_compact());
-}
-
-impl Drop for QueryLog {
-    fn drop(&mut self) {
-        // Error path: clear the slot so a stale partial record cannot
-        // leak into the next query served on this thread.
-        if self.armed {
-            ACTIVE.with(|a| a.borrow_mut().take());
+        out.push((
+            "results".to_string(),
+            Json::Num(ranked.matches.len() as f64),
+        ));
+        if let Some(top) = ranked.matches.first() {
+            out.push(("top_score".to_string(), Json::Num(top.cosine)));
+            if let Some(second) = ranked.matches.get(1) {
+                out.push((
+                    "margin".to_string(),
+                    Json::Num(top.cosine - second.cosine),
+                ));
+            }
         }
+        out.push((
+            "total_us".to_string(),
+            Json::Num(t0.elapsed().as_secs_f64() * 1e6),
+        ));
+        write_line(&Json::Obj(out).to_string_compact());
     }
 }
 

@@ -7,7 +7,7 @@
 
 use std::sync::Mutex;
 
-use lsi_core::{Combine, Error, LsiModel, LsiOptions, MultiQuery, Precision};
+use lsi_core::{BatchQuery, Combine, Error, LsiModel, LsiOptions, MultiQuery, Precision};
 use lsi_fault::{points, Action};
 use lsi_svd::Fallback;
 use lsi_text::{Corpus, ParsingRules, TermWeighting};
@@ -42,6 +42,14 @@ fn options() -> LsiOptions {
 
 fn model() -> LsiModel {
     LsiModel::build(&corpus(), &options()).unwrap().0
+}
+
+fn q(text: &str, z: usize) -> BatchQuery {
+    BatchQuery {
+        text: text.to_string(),
+        z,
+        ctx: None,
+    }
 }
 
 #[test]
@@ -114,6 +122,38 @@ fn compressed_multi_facet_nan_injection_also_falls_back() {
     lsi_fault::disarm(points::CORE_QUERY_SCORE);
     let oracle = exact.query_multi_top(&q, Combine::Max, 3).unwrap();
     assert_eq!(served.ids(), oracle.ids());
+}
+
+#[test]
+fn poisoned_sweep_fails_only_itself() {
+    // A batch error falls back to per-query serving: with the
+    // scoring failpoint armed to fire exactly once, the coalesced
+    // sweep errors, the fallback re-serves per query, and every
+    // query still succeeds (the failpoint is spent).
+    let _g = guard();
+    let m = model();
+    lsi_fault::arm_from_spec("core.query.score=return-err:1").unwrap();
+    let got = m.query_top_batch(vec![q("apple", 2), q("grape", 2), q("fig", 2)]);
+    lsi_fault::clear();
+    assert_eq!(got.iter().filter(|r| r.is_ok()).count(), 3);
+}
+
+#[test]
+fn projection_error_is_contained_per_query() {
+    // project_text never fails on unknown words (zero vector), so
+    // force a per-query error through the probe-depth override
+    // path instead: a dimension-mismatched model cannot exist
+    // here, so exercise containment through the fault fallback
+    // with a twice-armed failpoint — batch sweep errs, then one
+    // per-query retry errs, the other two serve.
+    let _g = guard();
+    let m = model();
+    lsi_fault::arm_from_spec("core.query.score=return-err:2").unwrap();
+    let got = m.query_top_batch(vec![q("apple", 2), q("grape", 2), q("fig", 2)]);
+    lsi_fault::clear();
+    let ok = got.iter().filter(|r| r.is_ok()).count();
+    let err = got.iter().filter(|r| r.is_err()).count();
+    assert_eq!((ok, err), (2, 1), "exactly the re-poisoned query fails");
 }
 
 #[test]

@@ -173,11 +173,17 @@ fn pack_b(b: View<'_>, p0: usize, kc: usize, j0: usize, nc: usize, buf: &mut [f6
 #[inline(always)]
 fn micro_kernel_body(kc: usize, apanel: &[f64], bpanel: &[f64]) -> [[f64; MR]; NR] {
     let mut acc = [[0.0f64; MR]; NR];
-    for l in 0..kc {
+    let (mut ap, mut bp) = (apanel, bpanel);
+    for _ in 0..kc {
         // Fixed-size array views let the compiler drop bounds checks and
-        // keep the 64 accumulators in vector registers.
-        let av: &[f64; MR] = apanel[l * MR..l * MR + MR].try_into().expect("MR chunk");
-        let bv: &[f64; NR] = bpanel[l * NR..l * NR + NR].try_into().expect("NR chunk");
+        // keep the 64 accumulators in vector registers. The packed
+        // panels hold `kc` full chunks by construction.
+        let (Some((av, a_rest)), Some((bv, b_rest))) =
+            (ap.split_first_chunk::<MR>(), bp.split_first_chunk::<NR>())
+        else {
+            break;
+        };
+        (ap, bp) = (a_rest, b_rest);
         for j in 0..NR {
             let b = bv[j];
             for i in 0..MR {

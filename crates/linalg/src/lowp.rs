@@ -1,4 +1,4 @@
-//! Reduced-precision scoring kernels (f32 and scaled-i8 GEMV/GEMM).
+//! Reduced-precision scoring kernels (f32 and scaled-i8 GEMV).
 //!
 //! Query scoring at collection scale is memory-bandwidth-bound: the
 //! sweep streams the whole document matrix once per query batch and
@@ -231,57 +231,6 @@ pub fn matvec_i8_rows(
     Ok(y)
 }
 
-/// `C = A * B` over column-major f32 buffers: `A` is `nrows x ncols`,
-/// `B` is `ncols x nrhs`, and the result is column-major
-/// `nrows x nrhs`. Right-hand sides are processed in pairs so each
-/// streamed column of `A` feeds two output columns — the multi-facet
-/// sweep reads the document matrix half as many times as repeated
-/// GEMV would. The paired path accumulates column-by-column, so its
-/// last-ulp rounding can differ from [`matvec_f32`]'s 4-wide blocks;
-/// callers use these scores for candidate generation only and re-rank
-/// exactly, so the difference never surfaces. The sweep itself is
-/// serial and deterministic.
-pub fn gemm_f32(
-    data: &[f32],
-    nrows: usize,
-    ncols: usize,
-    b: &[f32],
-    nrhs: usize,
-) -> Result<Vec<f32>> {
-    if data.len() != nrows * ncols || b.len() != ncols * nrhs {
-        return Err(Error::DimensionMismatch {
-            context: format!(
-                "gemm_f32: {} entries for {nrows}x{ncols}, {} rhs entries for {ncols}x{nrhs}",
-                data.len(),
-                b.len()
-            ),
-        });
-    }
-    let mut c = vec![0.0f32; nrows * nrhs];
-    let mut r = 0;
-    while r + 2 <= nrhs {
-        let (head, tail) = c.split_at_mut((r + 1) * nrows);
-        let y0 = &mut head[r * nrows..];
-        let y1 = &mut tail[..nrows];
-        let b0 = &b[r * ncols..(r + 1) * ncols];
-        let b1 = &b[(r + 1) * ncols..(r + 2) * ncols];
-        for j in 0..ncols {
-            let (x0, x1) = (b0[j], b1[j]);
-            let col = &data[j * nrows..(j + 1) * nrows];
-            for i in 0..nrows {
-                y0[i] += x0 * col[i];
-                y1[i] += x1 * col[i];
-            }
-        }
-        r += 2;
-    }
-    if r < nrhs {
-        let y = &mut c[r * nrows..(r + 1) * nrows];
-        matvec_span_f32(data, nrows, &b[r * ncols..(r + 1) * ncols], 0, y);
-    }
-    Ok(c)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,30 +307,6 @@ mod tests {
         assert!(matvec_f32_rows(&data, m, n, &x, &[23]).is_err());
         assert!(matvec_i8_rows(&data8, m, n, &x[..2], &[0]).is_err());
         assert_eq!(matvec_f32_rows(&data, m, n, &x, &[]).unwrap(), Vec::<f32>::new());
-    }
-
-    #[test]
-    fn gemm_f32_matches_per_column_gemv() {
-        for nrhs in [1usize, 2, 3, 5] {
-            let (m, n) = (17, 12);
-            let (data, _) = sample(m, n);
-            let b: Vec<f32> = (0..n * nrhs)
-                .map(|i| ((i * 131 % 61) as f32) / 30.0 - 1.0)
-                .collect();
-            let c = gemm_f32(&data, m, n, &b, nrhs).unwrap();
-            for r in 0..nrhs {
-                let y = matvec_f32(&data, m, n, &b[r * n..(r + 1) * n]).unwrap();
-                for i in 0..m {
-                    assert!(
-                        (c[r * m + i] - y[i]).abs() <= 1e-5 * y[i].abs().max(1.0),
-                        "rhs {r} row {i}: {} vs {}",
-                        c[r * m + i],
-                        y[i]
-                    );
-                }
-            }
-        }
-        assert!(gemm_f32(&[0.0; 4], 2, 2, &[0.0; 3], 2).is_err());
     }
 
     #[test]

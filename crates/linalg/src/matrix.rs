@@ -199,6 +199,11 @@ impl DenseMatrix {
         &mut self.data
     }
 
+    /// Consume the matrix, returning its column-major buffer.
+    pub fn into_col_major(self) -> Vec<f64> {
+        self.data
+    }
+
     /// Transposed copy.
     pub fn transpose(&self) -> DenseMatrix {
         let mut t = DenseMatrix::zeros(self.ncols, self.nrows);

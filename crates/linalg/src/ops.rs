@@ -66,8 +66,8 @@ fn matvec_span(data: &[f64], m: usize, x: &[f64], r0: usize, y: &mut [f64]) {
 /// skipped, which matters for sparse query vectors; dense stretches of
 /// four columns are fused into one sweep of `y`. Above
 /// [`MATVEC_PAR_MIN_ELEMS`] the rows are split across the pool — this
-/// is the single-query scoring hot path (`LsiModel::facet_cosines`
-/// does one `V * q̂` per query).
+/// is the single-query scoring hot path (the scoring executor's f64
+/// sweep does one `V * q̂` per query).
 pub fn matvec(a: &DenseMatrix, x: &[f64]) -> Result<Vec<f64>> {
     if a.ncols() != x.len() {
         return Err(Error::DimensionMismatch {
@@ -89,61 +89,16 @@ pub fn matvec(a: &DenseMatrix, x: &[f64]) -> Result<Vec<f64>> {
     Ok(y)
 }
 
-/// Single row of the GEMV: `sum_j x[j] * A[i, j]`, replicating
-/// [`matvec_span`]'s exact structure — the same 4-wide column blocks,
-/// the same all-zero-block skip, and the same left-to-right fused sum —
-/// so re-ranking one candidate row reproduces the full sweep's `y[i]`
-/// bit-for-bit. This is the exact-re-rank kernel of the compressed
-/// scoring path: the candidate generator scores every document in
-/// reduced precision, then this recomputes only the survivors in f64.
-pub fn matvec_row(a: &DenseMatrix, x: &[f64], i: usize) -> Result<f64> {
-    if a.ncols() != x.len() || i >= a.nrows() {
-        return Err(Error::DimensionMismatch {
-            context: format!(
-                "matvec_row: row {i} of {}x{} with vector {}",
-                a.nrows(),
-                a.ncols(),
-                x.len()
-            ),
-        });
-    }
-    let m = a.nrows();
-    let data = a.data();
-    let mut acc = 0.0f64;
-    let mut j = 0;
-    while j < x.len() {
-        let block = (x.len() - j).min(4);
-        // lsi-analyze: allow(float-safety) — exact zero-block skip keeps outputs bit-identical to matvec_span; NaN blocks are not skipped.
-        if x[j..j + block].iter().all(|&v| v == 0.0) {
-            j += block;
-            continue;
-        }
-        if block == 4 {
-            acc += x[j] * data[j * m + i]
-                + x[j + 1] * data[(j + 1) * m + i]
-                + x[j + 2] * data[(j + 2) * m + i]
-                + x[j + 3] * data[(j + 3) * m + i];
-        } else {
-            for jj in j..j + block {
-                // lsi-analyze: allow(float-safety) — exact zero skip, bit-identical to matvec_span; NaN is not skipped.
-                if x[jj] != 0.0 {
-                    acc += x[jj] * data[jj * m + i];
-                }
-            }
-        }
-        j += block;
-    }
-    Ok(acc)
-}
-
-/// [`matvec_row`] over a batch of rows, columns outermost: every
+/// [`matvec`] restricted to a set of rows, columns outermost: every
 /// 4-wide column block is loaded once and applied to all requested
 /// rows before moving right. With the rows sorted ascending the inner
 /// loop walks each column's candidate band in address order, which
 /// turns the re-rank's scattered stride-`nrows` reads into
 /// prefetch-friendly sweeps — the per-row arithmetic (block order,
 /// zero-block skip, fused sum) is exactly [`matvec_span`]'s, so each
-/// output is bit-identical to `matvec_row(a, x, rows[i])`.
+/// output is bit-identical to the full GEMV's `y[rows[i]]`. This is the
+/// exact-re-rank kernel of compressed scoring and the survivor kernel
+/// of cluster-pruned scoring.
 pub fn matvec_rows(a: &DenseMatrix, x: &[f64], rows: &[usize]) -> Result<Vec<f64>> {
     let m = a.nrows();
     if a.ncols() != x.len() || rows.iter().any(|&r| r >= m) {
@@ -337,31 +292,9 @@ mod tests {
     }
 
     #[test]
-    fn matvec_row_is_bit_identical_to_full_gemv() {
+    fn matvec_rows_is_bit_identical_to_full_gemv() {
         // Mix of dense and zero coefficients so every branch of the
         // span kernel (fused block, skipped block, tail) is replayed.
-        let mut a = DenseMatrix::zeros(6, 11);
-        for i in 0..6 {
-            for j in 0..11 {
-                a.set(i, j, ((i * 11 + j) as f64).sin() * 3.0);
-            }
-        }
-        let mut x: Vec<f64> = (0..11).map(|j| (j as f64 * 0.7).cos()).collect();
-        x[4] = 0.0;
-        x[5] = 0.0;
-        x[6] = 0.0;
-        x[7] = 0.0;
-        x[10] = 0.0;
-        let y = matvec(&a, &x).unwrap();
-        for i in 0..6 {
-            assert_eq!(matvec_row(&a, &x, i).unwrap(), y[i]);
-        }
-        assert!(matvec_row(&a, &x[..3], 0).is_err());
-        assert!(matvec_row(&a, &x, 6).is_err());
-    }
-
-    #[test]
-    fn matvec_rows_is_bit_identical_to_single_row_calls() {
         let mut a = DenseMatrix::zeros(9, 11);
         for i in 0..9 {
             for j in 0..11 {
@@ -374,12 +307,13 @@ mod tests {
         x[2] = 0.0;
         x[3] = 0.0;
         x[9] = 0.0;
+        let y = matvec(&a, &x).unwrap();
         // Unsorted, duplicated rows: the batch kernel must not depend
         // on candidate order or uniqueness for its per-row bits.
         let rows = [7usize, 0, 3, 3, 8, 1];
         let batch = matvec_rows(&a, &x, &rows).unwrap();
         for (out, &r) in batch.iter().zip(rows.iter()) {
-            assert_eq!(out.to_bits(), matvec_row(&a, &x, r).unwrap().to_bits());
+            assert_eq!(out.to_bits(), y[r].to_bits());
         }
         assert!(matvec_rows(&a, &x, &[9]).is_err());
         assert!(matvec_rows(&a, &x[..4], &[0]).is_err());

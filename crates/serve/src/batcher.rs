@@ -17,12 +17,17 @@
 //! rebuilt on every oscillation — a flip costs an O(n·k) store
 //! rebuild):
 //!
-//! | level | trigger      | scoring path                               |
-//! |-------|--------------|--------------------------------------------|
-//! | 0     | depth < 50%  | exact, coalesced GEMM                      |
-//! | 1     | depth ≥ 50%  | cluster-pruned probes (base `nprobe`)      |
-//! | 2     | depth ≥ 75%  | + compressed f32 sweep                     |
-//! | 3     | depth ≥ 90%  | probes narrowed to half the base `nprobe`  |
+//! | level | trigger      | rows / sweep of the one batch call          |
+//! |-------|--------------|---------------------------------------------|
+//! | 0     | depth < 50%  | the model's own policy (exact: one GEMM)    |
+//! | 1     | depth ≥ 50%  | cluster-pruned probes (base `nprobe`)       |
+//! | 2     | depth ≥ 75%  | + compressed f32 sweep                      |
+//! | 3     | depth ≥ 90%  | probes narrowed to half the base `nprobe`   |
+//!
+//! Every level is the same call,
+//! [`LsiModel::query_top_batch_at`], with the level's probe-depth
+//! override; the whole batch goes through the scoring executor as one
+//! block.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -214,7 +219,7 @@ impl Ladder {
     }
 
     /// Probe-depth override for the current level: `None` at level 0
-    /// (exact coalesced path), the base depth at 1–2, half of it
+    /// (the model's own policy), the base depth at 1–2, half of it
     /// (floor 1) at 3.
     fn nprobe_override(&self) -> Option<usize> {
         match self.level {
@@ -270,23 +275,17 @@ fn score_batch(model: &mut LsiModel, live: Vec<Job>, nprobe: Option<usize>, stat
     let mut replies: Vec<SyncSender<Result<RankedList, String>>> =
         Vec::with_capacity(live.len());
     let mut queries: Vec<BatchQuery> = Vec::with_capacity(live.len());
-    let mut overrides: Vec<(String, usize, RequestCtx)> = Vec::new();
     let now = Instant::now();
     for job in live {
-        let ctx = RequestCtx {
-            trace_id: job.trace_id,
-            wait_us: now.saturating_duration_since(job.enqueued).as_secs_f64() * 1e6,
-        };
         replies.push(job.reply);
-        if nprobe.is_some() {
-            overrides.push((job.text, job.z, ctx));
-        } else {
-            queries.push(BatchQuery {
-                text: job.text,
-                z: job.z,
-                ctx: Some(ctx),
-            });
-        }
+        queries.push(BatchQuery {
+            text: job.text,
+            z: job.z,
+            ctx: Some(RequestCtx {
+                trace_id: job.trace_id,
+                wait_us: now.saturating_duration_since(job.enqueued).as_secs_f64() * 1e6,
+            }),
+        });
     }
     let n_live = replies.len();
     let results = catch_unwind(AssertUnwindSafe(|| {
@@ -305,23 +304,11 @@ fn score_batch(model: &mut LsiModel, live: Vec<Job>, nprobe: Option<usize>, stat
             // No data to poison at this site.
             Some(lsi_fault::Fired::InjectNan) | None => {}
         }
-        if let Some(n) = nprobe {
-            overrides
-                .into_iter()
-                .map(|(text, z, ctx)| {
-                    lsi_core::querylog::set_request_context(ctx);
-                    model
-                        .query_top_with(&text, z, Some(n))
-                        .map_err(|e| e.to_string())
-                })
-                .collect::<Vec<Result<RankedList, String>>>()
-        } else {
-            model
-                .query_top_batch(queries)
-                .into_iter()
-                .map(|r| r.map_err(|e| e.to_string()))
-                .collect()
-        }
+        model
+            .query_top_batch_at(queries, nprobe)
+            .into_iter()
+            .map(|r| r.map_err(|e| e.to_string()))
+            .collect::<Vec<Result<RankedList, String>>>()
     }));
     match results {
         Ok(results) => {

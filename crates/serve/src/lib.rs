@@ -4,9 +4,9 @@
 //! The CLI's one-shot `lsi query` pays model load (mmap-free full
 //! deserialize) per invocation; the daemon amortizes it across a
 //! process lifetime and coalesces concurrent queries into one scoring
-//! batch ([`lsi_core::LsiModel::query_top_batch`]), so the document
-//! sweep runs as a GEMM instead of one GEMV per request (DESIGN.md
-//! §3i).
+//! batch ([`lsi_core::LsiModel::query_top_batch_at`]), so on an exact
+//! model the document sweep runs as one GEMM instead of one GEMV per
+//! request (DESIGN.md §3i).
 //!
 //! The transport is a hand-rolled bounded HTTP/1.1 server over
 //! `std::net` — no async runtime, no external dependencies. Robustness

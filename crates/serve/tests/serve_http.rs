@@ -87,7 +87,10 @@ fn get(addr: SocketAddr, target: &str) -> (u16, String) {
     )
 }
 
-/// Failpoint state is process-global; serialize the tests that arm it.
+/// Failpoint state is process-global, and a counted failpoint fires for
+/// whichever server evaluates it first, so every test in this binary
+/// holds this lock: a test that arms nothing could otherwise consume a
+/// firing another test armed.
 fn fault_lock() -> &'static Mutex<()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
@@ -95,6 +98,7 @@ fn fault_lock() -> &'static Mutex<()> {
 
 #[test]
 fn endpoints_route_and_validate() {
+    let _g = fault_lock().lock().unwrap_or_else(|p| p.into_inner());
     let srv = Running::start(ServeConfig::default());
 
     let (code, body) = get(srv.addr, "/healthz");
@@ -160,6 +164,7 @@ fn endpoints_route_and_validate() {
 
 #[test]
 fn concurrent_queries_all_answer_and_batches_form() {
+    let _g = fault_lock().lock().unwrap_or_else(|p| p.into_inner());
     let srv = Running::start(ServeConfig {
         threads: 8,
         ..ServeConfig::default()
@@ -190,6 +195,7 @@ fn concurrent_queries_all_answer_and_batches_form() {
 
 #[test]
 fn keep_alive_serves_multiple_requests_per_connection() {
+    let _g = fault_lock().lock().unwrap_or_else(|p| p.into_inner());
     let srv = Running::start(ServeConfig::default());
     let mut s = TcpStream::connect(srv.addr).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
