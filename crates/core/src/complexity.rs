@@ -16,10 +16,8 @@
 //! (`F`, `H`, or `Q`) with a dimension bounded by `k + p`, `k + q`, or
 //! `k` rather than re-touching the sparse matrix.
 
-use serde::{Deserialize, Serialize};
-
 /// Problem-size parameters for the cost models.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CostParams {
     /// Terms (rows) in the existing matrix.
     pub m: usize,

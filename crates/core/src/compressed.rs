@@ -29,8 +29,6 @@
 //! path (build, fold-in, SVD-update, recompute, load) already calls —
 //! and is never serialized; only the [`Precision`] mode persists.
 
-use serde::{Deserialize, Serialize};
-
 use lsi_linalg::{lowp, DenseMatrix};
 
 /// Scoring precision of the candidate-generation sweep.
@@ -38,7 +36,7 @@ use lsi_linalg::{lowp, DenseMatrix};
 /// `Exact` scores every document in f64 (the classic path). `F32` and
 /// `I8` stream a compressed replica of `V_k` for candidate generation
 /// and re-rank the candidates exactly in f64.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Precision {
     /// Full f64 scan; no compressed store is kept.
     Exact,

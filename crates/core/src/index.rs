@@ -29,7 +29,6 @@
 //! identical, in both `LSI_NUM_THREADS` modes.
 
 use lsi_linalg::{ops, DenseMatrix};
-use serde::{de, Deserialize, Serialize, Value};
 
 use crate::Result;
 
@@ -99,41 +98,6 @@ impl IndexPolicy {
         match self {
             IndexPolicy::Exact => "exact".to_string(),
             IndexPolicy::Pruned { nprobe } => format!("pruned (nprobe={nprobe})"),
-        }
-    }
-}
-
-// The vendored serde derive only handles unit-variant enums, so the
-// data-carrying `Pruned` variant gets hand-written impls. `Exact`
-// keeps the derive's unit-variant encoding (`"Exact"`) so the policy
-// field reads like the neighboring `precision` field.
-impl Serialize for IndexPolicy {
-    fn to_value(&self) -> Value {
-        match self {
-            IndexPolicy::Exact => Value::Str("Exact".to_string()),
-            IndexPolicy::Pruned { nprobe } => Value::Map(vec![(
-                "Pruned".to_string(),
-                Value::Map(vec![("nprobe".to_string(), Value::UInt(*nprobe as u64))]),
-            )]),
-        }
-    }
-}
-
-impl Deserialize for IndexPolicy {
-    fn from_value(v: &Value) -> std::result::Result<Self, serde::Error> {
-        match v {
-            Value::Str(s) if s == "Exact" => Ok(IndexPolicy::Exact),
-            Value::Map(entries) => match entries.iter().find(|(k, _)| k == "Pruned") {
-                Some((_, body)) => {
-                    let map = body
-                        .as_map()
-                        .ok_or_else(|| serde::Error::custom("IndexPolicy::Pruned body must be a map"))?;
-                    let nprobe: usize = de::field(map, "nprobe")?;
-                    Ok(IndexPolicy::Pruned { nprobe })
-                }
-                None => Err(serde::Error::custom("unknown IndexPolicy variant")),
-            },
-            _ => Err(serde::Error::custom("expected IndexPolicy (\"Exact\" or {\"Pruned\":..})")),
         }
     }
 }
@@ -261,15 +225,14 @@ impl ClusterIndex {
         &self.assignments
     }
 
-    /// Moved-mass counter (test oracle for the re-cluster budget).
-    #[cfg(test)]
+    /// Rows moved since the centroids were trained (persisted; the
+    /// test oracle for the re-cluster budget).
     #[inline]
     pub(crate) fn moved(&self) -> usize {
         self.moved
     }
 
-    /// Borrow the centroid matrix (test oracle for persistence).
-    #[cfg(test)]
+    /// The unit centroids, one row per list (persisted).
     #[inline]
     pub(crate) fn centroids(&self) -> &DenseMatrix {
         &self.centroids
@@ -344,28 +307,6 @@ impl ClusterIndex {
     pub(crate) fn resident_bytes(&self) -> usize {
         let lists: usize = self.lists.iter().map(|l| l.len() * 4 + 24).sum();
         self.centroids.data().len() * 8 + self.assignments.len() * 4 + lists
-    }
-}
-
-impl Serialize for ClusterIndex {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("centroids".to_string(), self.centroids.to_value()),
-            ("assignments".to_string(), self.assignments.to_value()),
-            ("moved".to_string(), Value::UInt(self.moved as u64)),
-        ])
-    }
-}
-
-impl Deserialize for ClusterIndex {
-    fn from_value(v: &Value) -> std::result::Result<Self, serde::Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for ClusterIndex"))?;
-        let centroids: DenseMatrix = de::field(map, "centroids")?;
-        let assignments: Vec<u32> = de::field(map, "assignments")?;
-        let moved: usize = de::field(map, "moved")?;
-        Ok(ClusterIndex::from_parts(centroids, assignments, moved))
     }
 }
 
@@ -691,26 +632,5 @@ mod tests {
         let idx = ClusterIndex::build(&one, &norms(&one)).unwrap();
         assert_eq!(idx.assignments(), &[0]);
         assert_eq!(idx.list(0), &[0]);
-    }
-
-    #[test]
-    fn index_policy_serde_roundtrips() {
-        for p in [IndexPolicy::Exact, IndexPolicy::Pruned { nprobe: 7 }] {
-            let back = IndexPolicy::from_value(&p.to_value()).unwrap();
-            assert_eq!(back, p);
-        }
-        assert!(IndexPolicy::from_value(&Value::Str("Wat".into())).is_err());
-    }
-
-    #[test]
-    fn cluster_index_serde_roundtrips_and_rebuilds_lists() {
-        let v = clustered_v();
-        let idx = ClusterIndex::build(&v, &norms(&v)).unwrap();
-        let back = ClusterIndex::from_value(&idx.to_value()).unwrap();
-        assert_eq!(back.assignments(), idx.assignments());
-        assert_eq!(back.centroids().data(), idx.centroids().data());
-        for l in 0..idx.n_lists() {
-            assert_eq!(back.list(l), idx.list(l));
-        }
     }
 }

@@ -6,7 +6,8 @@
 //! the collection grows.
 //!
 //! * [`model::LsiModel`] — construction (parse → weight → truncated
-//!   SVD), persistence, and accessors for term/document coordinates.
+//!   SVD), persistence (the JSON schema lives in the private `persist`
+//!   module), and accessors for term/document coordinates.
 //! * [`query`] — query projection `q̂ = qᵀ U_k Σ_k⁻¹` (Eq. 6) and
 //!   cosine ranking, serial and rayon-parallel.
 //! * [`update`] — the three ways to add information (§2.3/§4):
@@ -59,6 +60,7 @@ pub mod index;
 pub mod model;
 pub mod multiquery;
 pub mod ortho;
+mod persist;
 pub mod query;
 pub mod querylog;
 pub mod update;

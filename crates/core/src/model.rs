@@ -2,8 +2,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use lsi_linalg::svd::Svd;
 use lsi_linalg::{DenseMatrix, RowView};
 use lsi_sparse::ops::DualFormat;
@@ -13,10 +11,10 @@ use lsi_text::{Corpus, ParsingRules, TermWeighting, Vocabulary};
 
 use crate::compressed::{CompressedStore, Precision};
 use crate::index::{splitmix64, ClusterIndex, IndexPolicy};
-use crate::{Error, Result};
+use crate::{persist, Error, Result};
 
 /// Construction options.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LsiOptions {
     /// Number of retained factors `k`. The paper: "Terms and documents
     /// represented by 200-300 of the largest singular vectors" at TREC
@@ -44,7 +42,7 @@ impl Default for LsiOptions {
 
 /// Where a document vector came from — §4.3's orthogonality analysis
 /// needs to distinguish SVD-derived rows of `V_k` from folded-in ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DocOrigin {
     /// Column of the matrix the SVD (or SVD-update) was computed from.
     Svd,
@@ -56,10 +54,9 @@ pub enum DocOrigin {
 /// terminology: the singular values and vectors plus the bookkeeping to
 /// use them).
 ///
-/// Serialization is hand-written (see the `Serialize`/`Deserialize`
-/// impls below): the `precision` field is optional on read so legacy
-/// files load as [`Precision::Exact`], and the derived `compressed`
-/// store is never serialized — it is rebuilt from `V` on load.
+/// Persistence goes through the `persist` module's JSON schema; the
+/// derived `compressed` store is never serialized — it is rebuilt from
+/// `V` on load.
 #[derive(Debug, Clone)]
 pub struct LsiModel {
     /// The vocabulary (row semantics).
@@ -584,7 +581,7 @@ impl LsiModel {
                 lsi_fault::points::CORE_PERSIST_SAVE
             )));
         }
-        let body = serde_json::to_string(self).map_err(|e| Error::Persist(e.to_string()))?;
+        let body = persist::model_to_json(self);
         let sum = fnv1a64(body.as_bytes());
         Ok(format!("{body}\n{TRAILER_TAG} len={} fnv={sum:016x}", body.len()))
     }
@@ -604,8 +601,7 @@ impl LsiModel {
             )));
         }
         let body = validate_trailer(json)?;
-        let mut model: LsiModel =
-            serde_json::from_str(body).map_err(|e| Error::Persist(e.to_string()))?;
+        let mut model = persist::model_from_json(body)?;
         model.validate_shape()?;
         // Norms are derived data; recompute rather than trusting the
         // serialized copy (hand-edited files stay usable).
@@ -618,7 +614,9 @@ impl LsiModel {
 
     /// Check every dimensional invariant between the model's parallel
     /// arrays. Only called on deserialized models — construction and
-    /// update paths maintain these by design.
+    /// update paths maintain these by design. Each value on its own
+    /// (finite floats, matrix buffers, sparse structure) was already
+    /// checked by the constructor that rebuilt it.
     fn validate_shape(&self) -> Result<()> {
         let fail = |context: String| Err(Error::Persist(format!("invalid model: {context}")));
         let k = self.s.len();
@@ -627,18 +625,6 @@ impl LsiModel {
         if u_cols != k || v_cols != k {
             return fail(format!(
                 "U is {u_rows}x{u_cols} and V is {v_rows}x{v_cols}, but {k} singular values"
-            ));
-        }
-        if self.u.data().len() != u_rows * u_cols {
-            return fail(format!(
-                "U buffer holds {} entries for a {u_rows}x{u_cols} matrix",
-                self.u.data().len()
-            ));
-        }
-        if self.v.data().len() != v_rows * v_cols {
-            return fail(format!(
-                "V buffer holds {} entries for a {v_rows}x{v_cols} matrix",
-                self.v.data().len()
             ));
         }
         if self.doc_ids.len() != v_rows || self.doc_origins.len() != v_rows {
@@ -673,14 +659,6 @@ impl LsiModel {
         if !self.s.iter().all(|s| s.is_finite() && *s >= 0.0) {
             return fail("singular values must be finite and non-negative".into());
         }
-        if !self.u.data().iter().all(|x| x.is_finite())
-            || !self.v.data().iter().all(|x| x.is_finite())
-        {
-            return fail("factor matrices contain non-finite entries".into());
-        }
-        self.weighted
-            .check_invariants()
-            .map_err(|e| Error::Persist(format!("invalid model: weighted matrix: {e}")))?;
         // The stored weighted matrix covers exactly the SVD-derived
         // rows and columns: folding-in appends factor rows without
         // touching it, while SVD-updating grows it in step.
@@ -701,74 +679,6 @@ impl LsiModel {
             ));
         }
         Ok(())
-    }
-}
-
-// Hand-written (de)serialization. The derive macro would make every
-// field required on read, but `precision` was added after the format
-// shipped: it serializes as a trailing map entry and defaults to
-// `Exact` when absent, so legacy files keep loading. The `compressed`
-// store is derived data and is intentionally not serialized —
-// `from_json` rebuilds it via `refresh_doc_norms`.
-impl Serialize for LsiModel {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("vocab".to_string(), self.vocab.to_value()),
-            ("weighting".to_string(), self.weighting.to_value()),
-            ("global_weights".to_string(), self.global_weights.to_value()),
-            ("u".to_string(), self.u.to_value()),
-            ("s".to_string(), self.s.to_value()),
-            ("v".to_string(), self.v.to_value()),
-            ("doc_norms".to_string(), self.doc_norms.to_value()),
-            ("doc_ids".to_string(), self.doc_ids.to_value()),
-            ("doc_origins".to_string(), self.doc_origins.to_value()),
-            ("folded_terms".to_string(), self.folded_terms.to_value()),
-            ("term_origins".to_string(), self.term_origins.to_value()),
-            ("weighted".to_string(), self.weighted.to_value()),
-            ("precision".to_string(), self.precision.to_value()),
-            ("index_policy".to_string(), self.index_policy.to_value()),
-            ("index".to_string(), self.index.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for LsiModel {
-    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for struct LsiModel"))?;
-        let precision = match map.iter().find(|(key, _)| key.as_str() == "precision") {
-            Some((_, pv)) => Precision::from_value(pv)?,
-            None => Precision::Exact,
-        };
-        // Like `precision`, the index fields are trailing optional
-        // entries so pre-index files keep loading (as Exact, no index).
-        let index_policy = match map.iter().find(|(key, _)| key.as_str() == "index_policy") {
-            Some((_, pv)) => IndexPolicy::from_value(pv)?,
-            None => IndexPolicy::Exact,
-        };
-        let index = match map.iter().find(|(key, _)| key.as_str() == "index") {
-            Some((_, iv)) => Option::<ClusterIndex>::from_value(iv)?,
-            None => None,
-        };
-        Ok(LsiModel {
-            vocab: serde::de::field(map, "vocab")?,
-            weighting: serde::de::field(map, "weighting")?,
-            global_weights: serde::de::field(map, "global_weights")?,
-            u: serde::de::field(map, "u")?,
-            s: serde::de::field(map, "s")?,
-            v: serde::de::field(map, "v")?,
-            doc_norms: serde::de::field(map, "doc_norms")?,
-            doc_ids: serde::de::field(map, "doc_ids")?,
-            doc_origins: serde::de::field(map, "doc_origins")?,
-            folded_terms: serde::de::field(map, "folded_terms")?,
-            term_origins: serde::de::field(map, "term_origins")?,
-            weighted: serde::de::field(map, "weighted")?,
-            precision,
-            compressed: None,
-            index_policy,
-            index,
-        })
     }
 }
 
@@ -960,7 +870,7 @@ mod tests {
         let (m, _) = LsiModel::build(&small_corpus(), &options(3)).unwrap();
         let json = m.to_json().unwrap();
         // Chop bytes out of the body while keeping the trailer: the
-        // length check must catch it before serde sees broken JSON.
+        // length check must catch it before the parser sees broken JSON.
         let (body, trailer) = json.rsplit_once('\n').unwrap();
         let truncated = format!("{}\n{trailer}", &body[..body.len() - 10]);
         let err = LsiModel::from_json(&truncated).unwrap_err();

@@ -5,15 +5,13 @@
 //! and cosine ranking, so column-major storage keeps the hot loops
 //! contiguous.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Error, Result};
 
 /// A dense, column-major, `f64` matrix.
 ///
 /// Storage layout: entry `(i, j)` lives at `data[j * nrows + i]`, so each
 /// column is a contiguous slice obtainable via [`DenseMatrix::col`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DenseMatrix {
     nrows: usize,
     ncols: usize,
@@ -41,9 +39,10 @@ impl DenseMatrix {
 
     /// Build a matrix from a column-major data buffer.
     ///
-    /// Returns an error if `data.len() != nrows * ncols`.
+    /// Returns an error if `data.len() != nrows * ncols` (or the product
+    /// overflows).
     pub fn from_col_major(nrows: usize, ncols: usize, data: Vec<f64>) -> Result<Self> {
-        if data.len() != nrows * ncols {
+        if nrows.checked_mul(ncols) != Some(data.len()) {
             return Err(Error::DimensionMismatch {
                 context: format!(
                     "buffer of length {} cannot hold a {}x{} matrix",

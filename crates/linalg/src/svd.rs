@@ -1,14 +1,12 @@
 //! SVD result type and the dense-SVD front door.
 
-use serde::{Deserialize, Serialize};
-
 use crate::jacobi::jacobi_svd;
 use crate::matrix::DenseMatrix;
 use crate::vecops;
 use crate::Result;
 
 /// A (thin) singular value decomposition `A = U diag(s) V^T`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Svd {
     /// Left singular vectors, one per column (`m x r`).
     pub u: DenseMatrix,

@@ -1,11 +1,14 @@
 //! A minimal JSON value type, writer, and parser (std-only).
 //!
-//! The workspace builds offline, so the exporters cannot lean on
-//! `serde_json`; this module implements exactly the subset the report
-//! formats need. Objects preserve insertion order so exported reports
-//! are stable and diffable. Numbers are `f64`, written with Rust's
-//! shortest round-trip formatting (integers without a fraction print
-//! bare), so write → parse → write is a fixed point.
+//! This is the workspace's only JSON codec: every report, `/stats`
+//! body and query-log line goes through it, and so does the LSI
+//! database (`lsi-core`'s `persist` module maps the model onto a
+//! [`Json`] tree). Objects preserve insertion order so exported
+//! reports are stable and diffable. Numbers are `f64`, written with
+//! Rust's shortest round-trip formatting (integers without a fraction
+//! print bare, `-0.0` keeps its sign), so every finite `f64` survives
+//! write → parse bit-exactly and write → parse → write is a fixed
+//! point.
 
 use std::fmt::Write as _;
 
@@ -138,7 +141,12 @@ fn write_num(out: &mut String, v: f64) {
         // JSON has no Inf/NaN; null is the conventional degradation.
         out.push_str("null");
     } else if v == v.trunc() && v.abs() < 1e15 {
-        let _ = write!(out, "{}", v as i64);
+        // Write the sign apart: `as i64` would drop it from -0.0, which
+        // must read back bit-exactly.
+        if v.is_sign_negative() {
+            out.push('-');
+        }
+        let _ = write!(out, "{}", (v as i64).unsigned_abs());
     } else {
         // `{:?}` is the shortest representation that round-trips.
         let _ = write!(out, "{v:?}");
@@ -305,13 +313,24 @@ impl<'a> Parser<'a> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain bytes up to the next quote or
+            // escape in one step. The input is a `&str` and the run
+            // ends on an ASCII byte, so it is whole UTF-8.
+            let start = self.pos;
+            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                .map_err(|_| self.err("invalid utf-8"))?;
+            out.push_str(run);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // The run stopped at a backslash: decode one escape.
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -347,15 +366,6 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("invalid escape sequence")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one full UTF-8 scalar (input is &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -395,10 +405,11 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
+        std::str::from_utf8(&self.bytes[start..self.pos])
+            .ok()
+            .and_then(|text| text.parse::<f64>().ok())
             .map(Json::Num)
-            .map_err(|_| self.err("invalid number"))
+            .ok_or_else(|| self.err("invalid number"))
     }
 }
 
@@ -453,5 +464,47 @@ mod tests {
         assert_eq!(reparsed.to_string_pretty(), text);
         let compact = v.to_string_compact();
         assert_eq!(parse(&compact).unwrap(), v);
+    }
+
+    #[test]
+    fn floats_roundtrip_bit_exactly() {
+        for x in [
+            0.1,
+            -1.5e-300,
+            std::f64::consts::PI,
+            1.0 / 3.0,
+            6.02e23,
+            f64::MIN_POSITIVE,
+            -0.0,
+            5e-324,
+            -2.5e-310,
+            -7.0,
+            1e15,
+            -123_456_789_012_345.0,
+        ] {
+            let text = Json::Num(x).to_string_compact();
+            let back = parse(&text).unwrap().as_f64().unwrap();
+            assert_eq!(back.to_bits(), x.to_bits(), "{x:?} via {text}");
+        }
+        assert_eq!(Json::Num(-0.0).to_string_compact(), "-0");
+        assert_eq!(Json::Num(-7.0).to_string_compact(), "-7");
+    }
+
+    #[test]
+    fn strings_escape_and_parse() {
+        for s in [
+            "he said \"hi\"\\\n\ttab\u{1}snow\u{2603}",
+            "naïve café résumé — 😀",
+            "",
+        ] {
+            let text = Json::Str(s.to_string()).to_string_compact();
+            assert_eq!(parse(&text).unwrap().as_str(), Some(s), "via {text}");
+        }
+        // Explicit escape forms parse too, surrogate pairs included.
+        assert_eq!(
+            parse(r#""\u2603\ud83d\ude00 \/\b\f""#).unwrap(),
+            Json::Str("\u{2603}\u{1F600} /\u{8}\u{c}".into())
+        );
+        assert!(parse(r#""bad \q escape""#).is_err());
     }
 }

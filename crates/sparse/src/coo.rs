@@ -4,14 +4,12 @@
 //! duplicates are summed when converting to compressed storage, which is
 //! exactly the term-frequency semantics of the paper's Eq. (4).
 
-use serde::{Deserialize, Serialize};
-
 use crate::csc::CscMatrix;
 use crate::csr::CsrMatrix;
 use crate::{Error, Result};
 
 /// A growable sparse matrix in coordinate (triplet) format.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CooMatrix {
     nrows: usize,
     ncols: usize,

@@ -7,7 +7,6 @@
 //! row spans.
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use lsi_linalg::DenseMatrix;
 
@@ -16,7 +15,7 @@ use crate::spans::{nnz_balanced_spans, SyncMutPtr};
 use crate::{Error, Result, PAR_NNZ_THRESHOLD};
 
 /// A compressed sparse column matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CscMatrix {
     nrows: usize,
     ncols: usize,
@@ -47,10 +46,7 @@ impl CscMatrix {
     /// transpose (same arrays, swapped interpretation).
     pub(crate) fn from_transposed_csr(csr: CsrMatrix) -> Self {
         let (nrows_t, ncols_t) = csr.shape();
-        let (indptr, indices, values) = {
-            let (a, b, c) = csr.raw();
-            (a.to_vec(), b.to_vec(), c.to_vec())
-        };
+        let (indptr, indices, values) = csr.into_raw();
         CscMatrix {
             nrows: ncols_t,
             ncols: nrows_t,
@@ -95,55 +91,9 @@ impl CscMatrix {
         self.values.len()
     }
 
-    /// Verify the compressed-storage invariants.
-    ///
-    /// Matrices built through this crate's constructors always satisfy
-    /// them; this exists for matrices that arrive from *outside* the
-    /// type system's guarantees — deserialized model files, hand-built
-    /// test fixtures — where a violated invariant would otherwise
-    /// surface later as an out-of-bounds panic in a matvec.
-    pub fn check_invariants(&self) -> Result<()> {
-        let fail = |context: String| Err(Error::DimensionMismatch { context });
-        if self.indptr.len() != self.ncols + 1 {
-            return fail(format!(
-                "indptr has {} entries for {} columns",
-                self.indptr.len(),
-                self.ncols
-            ));
-        }
-        if self.indptr[0] != 0 || self.indptr[self.ncols] != self.indices.len() {
-            return fail("indptr endpoints do not bracket the index array".into());
-        }
-        if self.indices.len() != self.values.len() {
-            return fail(format!(
-                "{} indices vs {} values",
-                self.indices.len(),
-                self.values.len()
-            ));
-        }
-        for c in 0..self.ncols {
-            if self.indptr[c] > self.indptr[c + 1] {
-                return fail(format!("indptr not monotone at column {c}"));
-            }
-            let rows = &self.indices[self.indptr[c]..self.indptr[c + 1]];
-            for w in rows.windows(2) {
-                if w[0] >= w[1] {
-                    return fail(format!("row indices not strictly sorted in column {c}"));
-                }
-            }
-            if let Some(&last) = rows.last() {
-                if last >= self.nrows {
-                    return fail(format!(
-                        "row index {last} out of bounds in column {c} ({} rows)",
-                        self.nrows
-                    ));
-                }
-            }
-        }
-        if !self.values.iter().all(|v| v.is_finite()) {
-            return fail("non-finite stored value".into());
-        }
-        Ok(())
+    /// Raw parts `(indptr, indices, values)`.
+    pub fn raw(&self) -> (&[usize], &[usize], &[f64]) {
+        (&self.indptr, &self.indices, &self.values)
     }
 
     /// Entry accessor; `0.0` when absent.

@@ -6,7 +6,6 @@
 //! synchronization — each span owns a disjoint slice of `y`.
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use lsi_linalg::DenseMatrix;
 
@@ -15,7 +14,7 @@ use crate::spans::{nnz_balanced_spans, SyncMutPtr};
 use crate::{Error, Result, PAR_NNZ_THRESHOLD};
 
 /// A compressed sparse row matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     nrows: usize,
     ncols: usize,
@@ -146,6 +145,11 @@ impl CsrMatrix {
     /// Raw parts `(indptr, indices, values)`.
     pub fn raw(&self) -> (&[usize], &[usize], &[f64]) {
         (&self.indptr, &self.indices, &self.values)
+    }
+
+    /// Consume into the raw parts `(indptr, indices, values)`.
+    pub(crate) fn into_raw(self) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+        (self.indptr, self.indices, self.values)
     }
 
     /// Serial `y = A·x`.

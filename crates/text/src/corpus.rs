@@ -1,10 +1,8 @@
 //! Document and corpus types.
 
-use serde::{Deserialize, Serialize};
-
 /// A single text object (the paper's "document": an abstract, a title,
 /// a paragraph — any descriptor-object unit, §5.4).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Document {
     /// Caller-chosen label ("M1", a filename, a DOI...).
     pub id: String,
@@ -24,7 +22,7 @@ impl Document {
 
 /// An ordered collection of documents. Order is significant: column `j`
 /// of the term-document matrix is `docs[j]`.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Corpus {
     /// The documents, in matrix-column order.
     pub docs: Vec<Document>,

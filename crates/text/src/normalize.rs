@@ -29,7 +29,7 @@ pub fn identity_key(token: &str) -> &str {
 }
 
 /// How tokens are folded into vocabulary entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TokenFold {
     /// No folding at all (paper §5.4 default for large collections).
     #[default]

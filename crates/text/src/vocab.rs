@@ -7,8 +7,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use lsi_sparse::{CooMatrix, CscMatrix};
 
 use crate::corpus::Corpus;
@@ -17,7 +15,7 @@ use crate::stopwords::is_stopword;
 use crate::tokenize::tokenize;
 
 /// Rules governing which tokens become indexed terms.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ParsingRules {
     /// Minimum number of distinct documents a term must occur in.
     /// The §3 example uses 2 ("appear in more than one topic").
@@ -66,8 +64,13 @@ impl ParsingRules {
     }
 }
 
+/// Map each fold-key to its row (a repeated key keeps its last row).
+fn term_map(keys: &[String]) -> HashMap<String, usize> {
+    keys.iter().enumerate().map(|(i, k)| (k.clone(), i)).collect()
+}
+
 /// An indexed vocabulary: term keys, display forms, and statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Vocabulary {
     rules: ParsingRules,
     /// Display form of each term, sorted ascending; row `i` of the
@@ -134,8 +137,7 @@ impl Vocabulary {
 
         let displays: Vec<String> = entries.iter().map(|(d, _)| d.clone()).collect();
         let keys: Vec<String> = entries.iter().map(|(_, k)| k.clone()).collect();
-        let index: HashMap<String, usize> =
-            keys.iter().enumerate().map(|(i, k)| (k.clone(), i)).collect();
+        let index = term_map(&keys);
         let doc_freq: Vec<usize> = keys.iter().map(|k| df[k]).collect();
         let global_freq: Vec<usize> = keys.iter().map(|k| gf[k]).collect();
 
@@ -151,6 +153,42 @@ impl Vocabulary {
             global_freq,
             n_docs,
         }
+    }
+
+    /// Rebuild a vocabulary from its stored parts (a persisted LSI
+    /// database). The term map is derived from `keys`, so it always
+    /// points inside the vocabulary. Errors if the parallel arrays
+    /// differ in length or a key repeats.
+    pub fn from_parts(
+        rules: ParsingRules,
+        displays: Vec<String>,
+        keys: Vec<String>,
+        doc_freq: Vec<usize>,
+        global_freq: Vec<usize>,
+        n_docs: usize,
+    ) -> Result<Vocabulary, String> {
+        let m = keys.len();
+        if displays.len() != m || doc_freq.len() != m || global_freq.len() != m {
+            return Err(format!(
+                "{} displays, {m} keys, {} doc frequencies and {} global frequencies",
+                displays.len(),
+                doc_freq.len(),
+                global_freq.len()
+            ));
+        }
+        let index = term_map(&keys);
+        if index.len() != m {
+            return Err(format!("{} distinct keys among {m} terms", index.len()));
+        }
+        Ok(Vocabulary {
+            rules,
+            displays,
+            keys,
+            index,
+            doc_freq,
+            global_freq,
+            n_docs,
+        })
     }
 
     /// Tokens of `text` that pass the token-level rules (length, stop
@@ -221,14 +259,19 @@ impl Vocabulary {
         self.index.get(key.as_str()).copied()
     }
 
-    /// Document frequency of term `i`.
-    pub fn doc_freq(&self, i: usize) -> usize {
-        self.doc_freq[i]
+    /// Fold-keys of all terms, in row order.
+    pub fn keys(&self) -> &[String] {
+        &self.keys
     }
 
-    /// Corpus-wide frequency of term `i`.
-    pub fn global_freq(&self, i: usize) -> usize {
-        self.global_freq[i]
+    /// Document frequency of each term, in row order.
+    pub fn doc_freqs(&self) -> &[usize] {
+        &self.doc_freq
+    }
+
+    /// Corpus-wide frequency of each term, in row order.
+    pub fn global_freqs(&self) -> &[usize] {
+        &self.global_freq
     }
 
     /// The parsing rules this vocabulary was built with.
@@ -301,8 +344,28 @@ mod tests {
         // cat (df 3) and dog (df 2) survive; sat/mat/chased (df 1) do
         // not; the/a/and/on are stop words.
         assert_eq!(v.terms(), &["cat", "dog"]);
-        assert_eq!(v.doc_freq(0), 3);
-        assert_eq!(v.doc_freq(1), 2);
+        assert_eq!(v.doc_freqs(), &[3, 2]);
+    }
+
+    #[test]
+    fn from_parts_rebuilds_the_term_map_and_checks_lengths() {
+        let v = Vocabulary::build(&tiny_corpus(), &ParsingRules::default());
+        let rebuild = |keys: Vec<String>, doc_freq: Vec<usize>| {
+            Vocabulary::from_parts(
+                v.rules().clone(),
+                v.terms().to_vec(),
+                keys,
+                doc_freq,
+                v.global_freqs().to_vec(),
+                v.n_docs(),
+            )
+        };
+        let back = rebuild(v.keys().to_vec(), v.doc_freqs().to_vec()).unwrap();
+        assert_eq!(back.index_of("dog"), v.index_of("dog"));
+        assert_eq!(back.count_vector("cat dog cat"), v.count_vector("cat dog cat"));
+        assert!(rebuild(v.keys().to_vec(), vec![3]).is_err());
+        let repeated = vec![v.keys()[0].clone(); v.len()];
+        assert!(rebuild(repeated, v.doc_freqs().to_vec()).is_err());
     }
 
     #[test]
@@ -349,8 +412,8 @@ mod tests {
         };
         let v = Vocabulary::build(&c, &rules);
         assert_eq!(v.terms(), &["culture"]);
-        assert_eq!(v.doc_freq(0), 3);
-        assert_eq!(v.global_freq(0), 4);
+        assert_eq!(v.doc_freqs()[0], 3);
+        assert_eq!(v.global_freqs()[0], 4);
         // Both surface forms resolve to the same row.
         assert_eq!(v.index_of("culture"), Some(0));
         assert_eq!(v.index_of("cultures"), Some(0));

@@ -7,12 +7,10 @@
 //! log × entropy weighting was 40% more effective than raw term
 //! weighting." All schemes compared there are implemented here.
 
-use serde::{Deserialize, Serialize};
-
 use lsi_sparse::CscMatrix;
 
 /// Local weighting `L(i, j)` applied to each cell's raw frequency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LocalWeight {
     /// Raw term frequency (the paper's unweighted baseline).
     #[default]
@@ -41,7 +39,7 @@ impl LocalWeight {
 }
 
 /// Global weighting `G(i)`, one factor per term (matrix row).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GlobalWeight {
     /// No global weighting.
     #[default]
@@ -58,7 +56,7 @@ pub enum GlobalWeight {
 }
 
 /// A complete weighting scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TermWeighting {
     /// The local component.
     pub local: LocalWeight,
