@@ -62,7 +62,7 @@
 
 use std::time::Instant;
 
-use lsi_core::{Combine, LsiModel, LsiOptions, MultiQuery};
+use lsi_core::{BatchQuery, Combine, LsiModel, LsiOptions, MultiQuery};
 use lsi_corpora::treclike::trec_like;
 use lsi_corpora::{SyntheticCorpus, SyntheticOptions};
 use lsi_linalg::{ops, DenseMatrix};
@@ -1042,12 +1042,29 @@ fn gate_measure(s: &Sizes) -> (Vec<(&'static str, f64)>, [f64; 3]) {
     });
     let pruned_qps = (s.score_reps * qhats.len()) as f64 / pruned_secs;
 
+    // Coalesced pairs on the same 10x-inflated corpus under the exact
+    // policy: two queries per `query_top_batch` call, the narrow batch
+    // a busy daemon forms. Gates the text-to-ranking path of such a
+    // batch (sparse projection, one fused sweep of `V` for both).
+    let mut serve_model = model.clone();
+    serve_model.replicate_docs_for_bench(10).expect("inflates");
+    let pair_secs = best_secs(s.time_reps, || {
+        for pair in queries.chunks(2) {
+            let batch = pair
+                .iter()
+                .map(|text| BatchQuery { text: text.clone(), z: 10, ctx: None })
+                .collect();
+            for ranked in serve_model.query_top_batch(batch) {
+                std::hint::black_box(ranked.expect("pair batch ranks"));
+            }
+        }
+    });
+    let pair_qps = queries.len() as f64 / pair_secs;
+
     // Batched serving throughput end to end through the daemon: real
     // loopback sockets, coalesced scoring, same 10x-inflated corpus as
     // the pruned row. Gates the serve path's whole stack (HTTP parse,
-    // queue handoff, batch GEMM, response write).
-    let mut serve_model = model.clone();
-    serve_model.replicate_docs_for_bench(10).expect("inflates");
+    // queue handoff, batch sweep, response write).
     let serve_paths = query_paths(&queries);
     let serve_out = serve_phase(
         serve_model,
@@ -1095,6 +1112,7 @@ fn gate_measure(s: &Sizes) -> (Vec<(&'static str, f64)>, [f64; 3]) {
             ("query_batch_scoring_qps", batch_qps),
             ("query_multi_facet_qps", multi_qps),
             ("query_pruned_batch_qps", pruned_qps),
+            ("query_pair_batch_qps", pair_qps),
             ("serve_batch_qps", serve_qps),
             ("analysis_full_secs", analysis_secs),
         ],

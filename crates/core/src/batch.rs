@@ -2,11 +2,12 @@
 //!
 //! `lsi serve` hands each batch of concurrent requests to the scoring
 //! executor ([`crate::query`]) as one block of projected columns, so
-//! under the exact all-rows scan the document sweep is a single `V Q̂`
-//! GEMM instead of one GEMV per query. Each query still gets its own
-//! projection, its own probed lists (never unioned across the batch),
-//! its own top-`z` selection, its own query-log record, and its own
-//! error: a batch is a scheduling unit, not a failure domain.
+//! under the exact all-rows scan the document sweep reads `V` once for
+//! the whole batch — the fused block sweep for a narrow batch, GEMM for
+//! a wide one — instead of once per query. Each query still gets its
+//! own projection, its own probed lists (never unioned across the
+//! batch), its own top-`z` selection, its own query-log record, and its
+//! own error: a batch is a scheduling unit, not a failure domain.
 
 use std::time::Instant;
 
@@ -45,12 +46,14 @@ impl LsiModel {
     /// index up front.
     ///
     /// The whole batch runs through the scoring executor as one block.
-    /// Each query's result holds the same documents in the same order
-    /// as the query served alone, with cosines within 1e-12 of it:
-    /// when several of its queries take the f64 sweep over all rows,
-    /// that sweep is one GEMM, whose FMA tiles round differently in the
-    /// last bits from the single-query GEMV. Every other sweep scores
-    /// each query alone, bit-identical to serving it alone.
+    /// A batch narrower than [`lsi_linalg::ops::GEMM_MIN_COLS_THRESHOLD`]
+    /// queries returns, for each query, exactly what serving it alone
+    /// returns, cosine bits included: its f64 sweep over all rows is the
+    /// fused block sweep, whose every column replays the single-query
+    /// GEMV, and every other sweep scores each query alone. From that
+    /// width on, the all-rows f64 sweep is one GEMM, whose FMA tiles
+    /// round differently in the last bits: each query then gets the same
+    /// documents in the same order as alone, with cosines within 1e-12.
     ///
     /// When the block fails (an injected fault, a non-finite sweep),
     /// each query of a batch of more than one is re-served alone, so
@@ -151,9 +154,13 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_per_query_documents_and_order() {
+    fn batch_matches_per_query_results_bitwise() {
+        // Four queries: below the GEMM crossover, so the batch's sweep
+        // is the fused block sweep and each result is bit-identical to
+        // serving the query alone.
         let m = model();
         let texts = ["car motor", "zebra lion", "automobile", "giraffe safari"];
+        assert!(texts.len() < lsi_linalg::ops::GEMM_MIN_COLS_THRESHOLD);
         let batch: Vec<BatchQuery> = texts.iter().map(|t| q(t, 3)).collect();
         let got = m.query_top_batch(batch);
         for (text, r) in texts.iter().zip(got) {
@@ -162,7 +169,7 @@ mod tests {
             assert_eq!(r.matches.len(), solo.matches.len(), "{text}");
             for (a, b) in r.matches.iter().zip(solo.matches.iter()) {
                 assert_eq!(a.doc, b.doc, "{text}");
-                assert!((a.cosine - b.cosine).abs() <= 1e-12, "{text}");
+                assert_eq!(a.cosine.to_bits(), b.cosine.to_bits(), "{text}");
             }
         }
     }

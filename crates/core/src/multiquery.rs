@@ -128,8 +128,10 @@ impl MultiQuery {
 
 impl LsiModel {
     /// Rank all documents against a multi-facet query: all facet
-    /// cosines come out of one f64 sweep (one GEMM for the facet block)
-    /// before the per-document combine.
+    /// cosines come out of one f64 sweep of `V` for the facet block
+    /// (the fused block sweep, or GEMM from
+    /// [`lsi_linalg::ops::GEMM_MIN_COLS_THRESHOLD`] facets on) before
+    /// the per-document combine.
     pub fn query_multi(&self, query: &MultiQuery, combine: Combine) -> Result<RankedList> {
         let facets: Vec<&[f64]> = query.facets.iter().map(Vec::as_slice).collect();
         let ask = Ask {
@@ -148,13 +150,14 @@ impl LsiModel {
     ///
     /// Compressed caveat: the exact re-rank recomputes each candidate's
     /// facet cosines through the row-subset GEMV, whose accumulation
-    /// order matches the single-facet sweep but differs in the last ulp
-    /// from the blocked multi-facet GEMM that the f64 sweep uses. The
-    /// f32 margin check absorbs that (the margin dwarfs an ulp), so the
-    /// returned *document set and order* agree with the exact scan away
-    /// from exact fused-score ties, but fused scores may differ from
-    /// `query_multi`'s in the final bit. The bit-equality contract is
-    /// promised only for the single-facet path.
+    /// order matches the fused block sweep but differs in the last ulp
+    /// from the GEMM that the f64 sweep uses from
+    /// [`lsi_linalg::ops::GEMM_MIN_COLS_THRESHOLD`] facets on. The f32
+    /// margin check absorbs that (the margin dwarfs an ulp), so for
+    /// such wide queries the returned *document set and order* agree
+    /// with the exact scan away from exact fused-score ties, but fused
+    /// scores may differ from `query_multi`'s in the final bit. Below
+    /// that width the fused scores are bit-identical too.
     ///
     /// A combine that turns finite cosines into non-finite fused scores
     /// (an infinite or NaN `Density` sharpness) is a typed
@@ -293,8 +296,10 @@ mod tests {
             let exact = m.query_multi_top(&q, combine, 3).unwrap();
             let comp = mc.query_multi_top(&q, combine, 3).unwrap();
             // nf > 1 re-ranks through the single-row GEMV, whose
-            // accumulation order differs from the blocked GEMM in the
-            // last ulp — same documents, near-identical scores.
+            // accumulation order differs in the last ulp from the GEMM
+            // that sweeps facet blocks of GEMM_MIN_COLS_THRESHOLD or
+            // more — same documents, near-identical scores. (Two facets
+            // take the fused block sweep, which agrees to the bit.)
             for (a, b) in exact.matches.iter().zip(comp.matches.iter()) {
                 assert_eq!(a.doc, b.doc);
                 assert!((a.cosine - b.cosine).abs() < 1e-12);

@@ -25,9 +25,10 @@
 //!    ranking that cannot be certified falls back to the f64 sweep over
 //!    the same rows.
 //!
-//! Only the f64 sweep over all rows blocks columns together (one GEMV
-//! for a single column, one GEMM for more); every other sweep runs
-//! column by column.
+//! Only the f64 sweep over all rows blocks columns together: one read
+//! of `V` for all of them, through the fused block sweep for narrow
+//! blocks (a lone query, a coalesced batch) and GEMM for wide ones
+//! (many facets). Every other sweep runs column by column.
 
 use std::sync::Arc;
 
@@ -328,7 +329,8 @@ impl LsiModel {
     /// space: `q̂ = qᵀ U_k Σ_k⁻¹` (Eq. 6). The counts must be over the
     /// model's *SVD-derived* term rows (folded-in terms participate via
     /// their rows of `U` as well — the vector length must equal
-    /// [`LsiModel::n_terms`]).
+    /// [`LsiModel::n_terms`]). Only the nonzero counts are weighted and
+    /// projected (see [`LsiModel::project_text`]).
     pub fn project_counts(&self, counts: &[f64]) -> Result<Vec<f64>> {
         if counts.len() != self.n_terms() {
             return Err(Error::Inconsistent {
@@ -339,41 +341,70 @@ impl LsiModel {
                 ),
             });
         }
-        lsi_obs::add_flops((2 * self.k() + 2) as f64 * counts.len() as f64);
-        // Weight: local transform on counts, stored global weights.
-        // Folded-in terms (if any) carry global weight 1.
-        let mut weighted = Vec::with_capacity(counts.len());
-        for (i, &c) in counts.iter().enumerate() {
-            let g = self.global_weights.get(i).copied().unwrap_or(1.0);
-            weighted.push(self.weighting.local.apply(c) * g);
+        let nonzero: Vec<(usize, f64)> = counts
+            .iter()
+            .enumerate()
+            // lsi-analyze: allow(float-safety) — an exact zero count adds ±0.0 to the projection; NaN counts are kept.
+            .filter(|&(_, &c)| c != 0.0)
+            .map(|(i, &c)| (i, c))
+            .collect();
+        self.project_sparse(&nonzero)
+    }
+
+    /// Tokenize `text` against the vocabulary — including terms added
+    /// later by folding-in or SVD-updating — and project it (Eq. 6).
+    ///
+    /// Only the query's own terms are counted, weighted and gathered
+    /// from `U` ([`ops::matvec_t_sparse`]): `2k` multiply-adds per
+    /// distinct query term instead of per vocabulary term, and the
+    /// same bits as weighting the dense count vector and running
+    /// [`ops::matvec_t`] over all of `U`.
+    pub fn project_text(&self, text: &str) -> Result<Vec<f64>> {
+        let mut counts = self.vocab.sparse_count_vector(text);
+        if !self.folded_terms.is_empty() {
+            // Folded-in and SVD-updated term rows follow the
+            // vocabulary's, so their pairs sort after every vocabulary
+            // pair.
+            let mut folded: Vec<usize> = lsi_text::tokenize(text)
+                .into_iter()
+                .filter(|tok| self.vocab.index_of(tok).is_none())
+                .filter_map(|tok| self.folded_terms.iter().position(|t| *t == tok))
+                .map(|p| self.vocab.len() + p)
+                .collect();
+            folded.sort_unstable();
+            for i in folded {
+                match counts.last_mut() {
+                    Some((j, c)) if *j == i => *c += 1.0,
+                    _ => counts.push((i, 1.0)),
+                }
+            }
         }
-        // q^T U_k (k independent vocabulary-length dots — matvec_t
-        // splits them across the pool for large vocabularies), then
-        // divide by sigma.
-        let mut qhat = ops::matvec_t(&self.u, &weighted)?;
+        self.project_sparse(&counts)
+    }
+
+    /// Weight nonzero `(term, count)` pairs (ascending by term) and
+    /// project them: the local transform on each count times the
+    /// stored global weight (folded-in terms carry weight 1), then the
+    /// gather `qᵀ U_k` over just those rows, then the divide by `σ`.
+    fn project_sparse(&self, counts: &[(usize, f64)]) -> Result<Vec<f64>> {
+        let k = self.k();
+        // Per pair: the weighting (2) and its row's k multiply-adds;
+        // then the k divides.
+        lsi_obs::add_flops(((2 * k + 2) * counts.len() + k) as f64);
+        let weighted: Vec<(usize, f64)> = counts
+            .iter()
+            .map(|&(i, c)| {
+                let g = self.global_weights.get(i).copied().unwrap_or(1.0);
+                (i, self.weighting.local.apply(c) * g)
+            })
+            .collect();
+        let mut qhat = ops::matvec_t_sparse(&self.u, &weighted)?;
         for (q, &s) in qhat.iter_mut().zip(self.s.iter()) {
             if s > 0.0 {
                 *q /= s;
             }
         }
         Ok(qhat)
-    }
-
-    /// Tokenize `text` against the vocabulary — including terms added
-    /// later by folding-in or SVD-updating — and project it (Eq. 6).
-    pub fn project_text(&self, text: &str) -> Result<Vec<f64>> {
-        let mut counts = self.vocab.count_vector(text);
-        counts.resize(self.n_terms(), 0.0);
-        if !self.folded_terms.is_empty() {
-            for tok in lsi_text::tokenize(text) {
-                if self.vocab.index_of(&tok).is_none() {
-                    if let Some(p) = self.folded_terms.iter().position(|t| *t == tok) {
-                        counts[self.vocab.len() + p] += 1.0;
-                    }
-                }
-            }
-        }
-        self.project_counts(&counts)
     }
 
     /// Rank all documents by cosine to the projected query vector.
@@ -639,22 +670,29 @@ impl LsiModel {
     }
 
     /// Stage 2 in f64: exact cosines of each block column against its
-    /// rows, column `c` at `data[offs[c]..offs[c + 1]]`. A block of
-    /// several all-rows columns is one GEMM (`V` is streamed once for
-    /// all of them); otherwise each column runs alone, through the GEMV
-    /// over all rows or the list-sharded subset GEMV over probed rows.
+    /// rows, column `c` at `data[offs[c]..offs[c + 1]]`. A block whose
+    /// columns all take all rows streams `V` once for all of them: the
+    /// fused block sweep below [`ops::GEMM_MIN_COLS_THRESHOLD`] columns
+    /// (each column bit-identical to its own GEMV, so a narrow batch
+    /// scores exactly as its queries would alone), GEMM from there on.
+    /// Otherwise each column runs alone, through the GEMV over all rows
+    /// or the list-sharded subset GEMV over probed rows.
     fn sweep_f64(&self, block: &[(&[f64], &Rows)]) -> Result<(Vec<f64>, Vec<usize>)> {
         let (n, k) = (self.n_docs(), self.k());
         let norms = || self.doc_norms.iter().copied();
         lsi_obs::count("query.facets.count", block.len() as u64);
         let mut offs = vec![0];
         let mut data = Vec::new();
-        if block.len() > 1 && block.iter().all(|(_, r)| matches!(r, Rows::All(_))) {
+        if block.iter().all(|(_, r)| matches!(r, Rows::All(_))) {
             lsi_obs::add_flops(((2 * k + 3) * n * block.len()) as f64);
-            let q: Vec<f64> = block.iter().flat_map(|(col, _)| col.iter().copied()).collect();
-            data = ops::matmul(&self.v, &DenseMatrix::from_col_major(k, block.len(), q)?)?
-                .into_col_major();
-            for (c, (col, _)) in block.iter().enumerate() {
+            let cols: Vec<&[f64]> = block.iter().map(|&(col, _)| col).collect();
+            data = if cols.len() < ops::GEMM_MIN_COLS_THRESHOLD {
+                ops::matvec_block(&self.v, &cols)?
+            } else {
+                let q = DenseMatrix::from_col_major(k, cols.len(), cols.concat())?;
+                ops::matmul(&self.v, &q)?.into_col_major()
+            };
+            for (c, col) in cols.iter().enumerate() {
                 to_cosines(&mut data[c * n..(c + 1) * n], vecops::nrm2(col), norms());
                 offs.push((c + 1) * n);
             }
@@ -663,9 +701,7 @@ impl LsiModel {
                 let qnorm = vecops::nrm2(col);
                 lsi_obs::add_flops(((2 * k + 3) * rows.len()) as f64);
                 let scores = match rows {
-                    // One column is a GEMV: no operand packing for a
-                    // single right-hand side, and document rows split
-                    // across the pool for large collections.
+                    // An all-rows column beside probed ones: its GEMV.
                     Rows::All(_) => {
                         let mut y = ops::matvec(&self.v, col)?;
                         to_cosines(&mut y, qnorm, norms());
@@ -1004,9 +1040,9 @@ mod tests {
 
     #[test]
     fn scoring_is_bit_reproducible_across_repeats() {
-        // Scoring runs on the pool (GEMV row spans, projection column
-        // dots); the determinism contract says repeated queries return
-        // identical bits no matter how the spans are scheduled.
+        // Scoring runs on the pool (GEMV row spans); the determinism
+        // contract says repeated queries return identical bits no
+        // matter how the spans are scheduled.
         let m = model();
         let first = m.query("automobile engine").unwrap();
         for _ in 0..10 {

@@ -25,68 +25,181 @@ use crate::{Error, Result};
 /// worker-wakeup cost seen when GEMV interleaves with serial phases.
 pub const MATVEC_PAR_MIN_ELEMS: usize = 1 << 19;
 
-/// One row span of the GEMV: `y[i] += sum_j x[j] * A[r0 + i, j]` for
-/// the rows `r0 .. r0 + y.len()`, sweeping columns in 4-wide blocks and
-/// skipping all-zero coefficient blocks (sparse query vectors). The
-/// serial path is this with `r0 = 0` and the full `y`; the parallel
-/// path hands out disjoint row spans, and because every span runs the
-/// identical j-loop, each `y[i]` sees the same operation order either
-/// way — results are bit-for-bit independent of the thread count.
-fn matvec_span(data: &[f64], m: usize, x: &[f64], r0: usize, y: &mut [f64]) {
-    let rows = y.len();
-    let mut j = 0;
-    while j < x.len() {
-        let block = (x.len() - j).min(4);
-        if x[j..j + block].iter().all(|&v| v == 0.0) {
-            j += block;
-            continue;
-        }
-        if block == 4 {
-            let (x0, x1, x2, x3) = (x[j], x[j + 1], x[j + 2], x[j + 3]);
-            let c0 = &data[j * m + r0..j * m + r0 + rows];
-            let c1 = &data[(j + 1) * m + r0..(j + 1) * m + r0 + rows];
-            let c2 = &data[(j + 2) * m + r0..(j + 2) * m + r0 + rows];
-            let c3 = &data[(j + 3) * m + r0..(j + 3) * m + r0 + rows];
-            for i in 0..rows {
-                y[i] += x0 * c0[i] + x1 * c1[i] + x2 * c2[i] + x3 * c3[i];
-            }
-        } else {
-            for jj in j..j + block {
-                if x[jj] != 0.0 {
-                    let c = &data[jj * m + r0..jj * m + r0 + rows];
-                    vecops::axpy(x[jj], c, y);
-                }
-            }
-        }
-        j += block;
+/// Rows per cache tile of the fused block sweep ([`matvec_block`]).
+/// Each 4-column block of a tile (4 × 256 doubles = 8 KiB) is read
+/// from memory once and applied to every right-hand side while it sits
+/// in L1, next to each column's 2 KiB output tile. In the harness cited
+/// at [`GEMM_MIN_COLS_THRESHOLD`], tiles of 128–512 rows tied within
+/// noise and 2048 was slowest (2.5 ms against 2.0 ms at 20000×128,
+/// width 8).
+const BLOCK_TILE_ROWS: usize = 256;
+
+/// Narrowest block of right-hand sides that the scoring sweep sends
+/// through GEMM ([`matmul`]) instead of the fused block sweep
+/// ([`matvec_block`]). GEMM packs all of `A` on every call (once per
+/// pool worker, since it splits output columns), which a few columns
+/// cannot amortize once `A` outgrows the cache. Measured with the
+/// calibration harness `cargo test -p lsi-linalg --release --test
+/// par_kernels -- --ignored --nocapture block_sweep` (pooled, 2-vCPU
+/// AVX-512 host, best of 20–60, ranges over 2–5 runs):
+///
+/// | shape     | width | block sweep   | GEMM          |
+/// |-----------|-------|---------------|---------------|
+/// | 20000×128 | 2     | 0.69–0.75 ms  | 4.2–4.9 ms    |
+/// | 20000×128 | 8     | 1.95–2.09 ms  | 4.2–7.3 ms    |
+/// | 20000×128 | 32    | 5.9–7.6 ms    | 7.6–10.0 ms   |
+/// | 20000×128 | 80    | 13.4–17.6 ms  | 13.0–16.1 ms  |
+/// | 2000×64   | 8     | 121–169 µs    | 131–184 µs    |
+/// | 2000×64   | 12    | 172–253 µs    | 148–205 µs    |
+/// | 2000×64   | 16    | 228–333 µs    | 296–408 µs    |
+/// | 2000×64   | 20    | 287–409 µs    | 232–264 µs    |
+/// | 2000×64   | 80    | 1.14–1.64 ms  | 0.65–0.66 ms  |
+///
+/// On the cache-resident 2000×64 shape the two cross between 10 and 20
+/// columns; at 20000×128 the block sweep leads until 48–64. 16 keeps
+/// the usual serving batch (one to a few concurrent queries) on the
+/// block sweep and wide facet blocks (an 80-facet multi-query) on GEMM.
+pub const GEMM_MIN_COLS_THRESHOLD: usize = 16;
+
+/// `y += x0·c0 + x1·c1 + x2·c2 + x3·c3` elementwise, summed left to
+/// right: the per-row arithmetic of one dense 4-column block.
+#[inline(always)]
+fn fused4(y: &mut [f64], x: [f64; 4], c: [&[f64]; 4]) {
+    let [x0, x1, x2, x3] = x;
+    let rows = y.iter_mut().zip(c[0]).zip(c[1]).zip(c[2]).zip(c[3]);
+    for ((((yi, &a0), &a1), &a2), &a3) in rows {
+        *yi += x0 * a0 + x1 * a1 + x2 * a2 + x3 * a3;
     }
 }
 
-/// `y = A * x` (dense GEMV). Columns with a zero coefficient are
-/// skipped, which matters for sparse query vectors; dense stretches of
-/// four columns are fused into one sweep of `y`. Above
-/// [`MATVEC_PAR_MIN_ELEMS`] the rows are split across the pool — this
-/// is the single-query scoring hot path (the scoring executor's f64
-/// sweep does one `V * q̂` per query).
-pub fn matvec(a: &DenseMatrix, x: &[f64]) -> Result<Vec<f64>> {
-    if a.ncols() != x.len() {
+/// One row span of the block sweep: `ys[c][i] += sum_j xs[c][j] *
+/// A[r0 + i, j]` for every column `c` and the rows `r0 .. r0 + len`.
+/// The span is walked in [`BLOCK_TILE_ROWS`] tiles; inside a tile the
+/// coefficient columns go in 4-wide blocks, each applied to every
+/// right-hand side before moving right, skipping a column's all-zero
+/// blocks (sparse query vectors). Every output row therefore sees the
+/// same block order, skips and fused sums whatever the tile, span or
+/// column count — so each column is bit-identical to a one-column
+/// call, and results do not depend on the thread count.
+#[inline(always)]
+fn block_span_body(data: &[f64], m: usize, xs: &[&[f64]], r0: usize, ys: &mut [&mut [f64]]) {
+    let (Some(len), Some(k)) = (ys.first().map(|y| y.len()), xs.first().map(|x| x.len())) else {
+        return;
+    };
+    for t0 in (0..len).step_by(BLOCK_TILE_ROWS) {
+        let t1 = (t0 + BLOCK_TILE_ROWS).min(len);
+        let col = |j: usize| &data[j * m + r0 + t0..j * m + r0 + t1];
+        let mut j = 0;
+        while j + 4 <= k {
+            let c = [col(j), col(j + 1), col(j + 2), col(j + 3)];
+            for (x, y) in xs.iter().zip(ys.iter_mut()) {
+                let xb = [x[j], x[j + 1], x[j + 2], x[j + 3]];
+                // lsi-analyze: allow(float-safety) — exact zero-block skip (a skipped block adds ±0.0); NaN blocks are not skipped.
+                if xb.iter().all(|&v| v == 0.0) {
+                    continue;
+                }
+                fused4(&mut y[t0..t1], xb, c);
+            }
+            j += 4;
+        }
+        for jj in j..k {
+            let c = col(jj);
+            for (x, y) in xs.iter().zip(ys.iter_mut()) {
+                // lsi-analyze: allow(float-safety) — exact zero skip in the column tail; NaN is not skipped.
+                if x[jj] != 0.0 {
+                    vecops::axpy(x[jj], c, &mut y[t0..t1]);
+                }
+            }
+        }
+    }
+}
+
+/// [`block_span_body`] compiled with AVX2 enabled, so the fused row
+/// loop runs 4 doubles wide instead of the baseline target's 2. FMA
+/// stays disabled: without it every multiply and add rounds
+/// separately, exactly as in the portable build, so the bits do not
+/// depend on which one runs. In the [`GEMM_MIN_COLS_THRESHOLD`]
+/// harness the portable build took 0.97–1.00 ms at 20000×128 width 2
+/// (this one 0.69–0.75 ms) and 210–230 µs at 2000×64 width 8 (this one
+/// 121–169 µs).
+///
+/// # Safety
+/// The CPU must support `avx2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+// SAFETY: callers must ensure the CPU supports `avx2`; `block_span`
+// checks via `is_x86_feature_detected!` before calling.
+unsafe fn block_span_avx2(data: &[f64], m: usize, xs: &[&[f64]], r0: usize, ys: &mut [&mut [f64]]) {
+    block_span_body(data, m, xs, r0, ys)
+}
+
+/// Dispatch one row span of the block sweep to the widest build the
+/// host supports.
+fn block_span(data: &[f64], m: usize, xs: &[&[f64]], r0: usize, ys: &mut [&mut [f64]]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::is_x86_feature_detected!("avx2") {
+            // SAFETY: the runtime probe above confirmed avx2 is
+            // available on this CPU.
+            return unsafe { block_span_avx2(data, m, xs, r0, ys) };
+        }
+    }
+    block_span_body(data, m, xs, r0, ys)
+}
+
+/// `Y = A [x_0 … x_{b−1}]` for a block of `b` right-hand sides, as
+/// column-major `m × b` storage (column `c` is `A x_c`). `A` is read
+/// once, tile by tile, for all of them — the fused block sweep behind
+/// narrow query batches, where GEMM would pack all of `A` to fill a
+/// few columns (see [`GEMM_MIN_COLS_THRESHOLD`]). Zero coefficient
+/// blocks are skipped per column. Above [`MATVEC_PAR_MIN_ELEMS`]
+/// elements of `A` the rows are split across the pool. Each column is
+/// bit-identical to [`matvec`] of that column, at any thread count.
+pub fn matvec_block(a: &DenseMatrix, xs: &[&[f64]]) -> Result<Vec<f64>> {
+    let (m, k) = (a.nrows(), a.ncols());
+    if let Some(x) = xs.iter().find(|x| x.len() != k) {
         return Err(Error::DimensionMismatch {
-            context: format!("matvec: {}x{} with vector {}", a.nrows(), a.ncols(), x.len()),
+            context: format!("matvec_block: {m}x{k} with vector {}", x.len()),
         });
     }
-    let m = a.nrows();
-    let mut y = vec![0.0; m];
+    let mut y = vec![0.0; m * xs.len()];
+    if m == 0 || xs.is_empty() {
+        return Ok(y);
+    }
     let data = a.data();
     let nthreads = rayon::current_num_threads();
-    if m * x.len() >= MATVEC_PAR_MIN_ELEMS && nthreads > 1 && m > 1 {
-        let span = m.div_ceil(nthreads * 2).max(1);
-        y.par_chunks_mut(span).enumerate().for_each(|(ci, yspan)| {
-            matvec_span(data, m, x, ci * span, yspan);
-        });
+    let span = if m * k >= MATVEC_PAR_MIN_ELEMS && nthreads > 1 && m > 1 {
+        m.div_ceil(nthreads * 2)
     } else {
-        matvec_span(data, m, x, 0, &mut y);
+        m
+    };
+    // spans[s][c]: row span `s` of output column `c`.
+    let mut spans: Vec<Vec<&mut [f64]>> =
+        (0..m.div_ceil(span)).map(|_| Vec::with_capacity(xs.len())).collect();
+    for col in y.chunks_mut(m) {
+        for (s, part) in spans.iter_mut().zip(col.chunks_mut(span)) {
+            s.push(part);
+        }
+    }
+    if let [ys] = spans.as_mut_slice() {
+        block_span(data, m, xs, 0, ys);
+    } else {
+        spans
+            .par_iter_mut()
+            .enumerate()
+            .for_each(|(s, ys)| block_span(data, m, xs, s * span, ys));
     }
     Ok(y)
+}
+
+/// `y = A * x` (dense GEMV): the one-column case of [`matvec_block`].
+/// Columns with a zero coefficient are skipped, which matters for
+/// sparse query vectors; dense stretches of four columns are fused into
+/// one sweep of `y`. Above [`MATVEC_PAR_MIN_ELEMS`] the rows are split
+/// across the pool — this is the single-query scoring hot path (the
+/// scoring executor's f64 sweep does one `V * q̂` per query).
+pub fn matvec(a: &DenseMatrix, x: &[f64]) -> Result<Vec<f64>> {
+    matvec_block(a, &[x])
 }
 
 /// [`matvec`] restricted to a set of rows, columns outermost: every
@@ -95,7 +208,7 @@ pub fn matvec(a: &DenseMatrix, x: &[f64]) -> Result<Vec<f64>> {
 /// loop walks each column's candidate band in address order, which
 /// turns the re-rank's scattered stride-`nrows` reads into
 /// prefetch-friendly sweeps — the per-row arithmetic (block order,
-/// zero-block skip, fused sum) is exactly [`matvec_span`]'s, so each
+/// zero-block skip, fused sum) is exactly [`matvec_block`]'s, so each
 /// output is bit-identical to the full GEMV's `y[rows[i]]`. This is the
 /// exact-re-rank kernel of compressed scoring and the survivor kernel
 /// of cluster-pruned scoring.
@@ -117,7 +230,7 @@ pub fn matvec_rows(a: &DenseMatrix, x: &[f64], rows: &[usize]) -> Result<Vec<f64
     let mut j = 0;
     while j < x.len() {
         let block = (x.len() - j).min(4);
-        // lsi-analyze: allow(float-safety) — exact zero-block skip keeps outputs bit-identical to matvec_span; NaN blocks are not skipped.
+        // lsi-analyze: allow(float-safety) — exact zero-block skip keeps outputs bit-identical to matvec_block; NaN blocks are not skipped.
         if x[j..j + block].iter().all(|&v| v == 0.0) {
             j += block;
             continue;
@@ -133,7 +246,7 @@ pub fn matvec_rows(a: &DenseMatrix, x: &[f64], rows: &[usize]) -> Result<Vec<f64
             }
         } else {
             for jj in j..j + block {
-                // lsi-analyze: allow(float-safety) — exact zero skip, bit-identical to matvec_span; NaN is not skipped.
+                // lsi-analyze: allow(float-safety) — exact zero skip, bit-identical to matvec_block; NaN is not skipped.
                 if x[jj] != 0.0 {
                     let c = &data[jj * m..jj * m + m];
                     for (yi, &r) in y.iter_mut().zip(rows.iter()) {
@@ -165,6 +278,46 @@ pub fn matvec_t(a: &DenseMatrix, x: &[f64]) -> Result<Vec<f64>> {
             .collect());
     }
     Ok((0..a.ncols()).map(|j| vecops::dot(a.col(j), x)).collect())
+}
+
+/// `y = A^T * x` for a sparse `x` given as `(row, value)` pairs in
+/// strictly ascending row order: a gather of only those rows of `A`,
+/// `2·ncols` flops per pair. Query projection `qᵀ U_k` is this shape —
+/// a handful of query terms against a vocabulary of thousands.
+///
+/// Each output replays [`vecops::dot`]'s accumulation (four lanes by
+/// row index mod 4, then the rows past the last full group of four as
+/// the tail, summed `lane0 + lane1 + lane2 + lane3 + tail`) over just
+/// the given rows. Every row it leaves out would have added `±0.0` to
+/// a partial sum that starts at `+0.0`, which cannot change its bits,
+/// so the result is bit-identical to [`matvec_t`] of the dense
+/// expansion of `x` whenever `A` is finite.
+///
+/// An out-of-range row is a `DimensionMismatch`; unsorted or repeated
+/// rows are an `InvalidArgument`.
+pub fn matvec_t_sparse(a: &DenseMatrix, x: &[(usize, f64)]) -> Result<Vec<f64>> {
+    let (m, k) = (a.nrows(), a.ncols());
+    if let Some(&(i, _)) = x.iter().find(|&&(i, _)| i >= m) {
+        return Err(Error::DimensionMismatch {
+            context: format!("matvec_t_sparse: row {i} of a {m}x{k} matrix"),
+        });
+    }
+    if x.windows(2).any(|w| w[0].0 >= w[1].0) {
+        return Err(Error::InvalidArgument {
+            context: "matvec_t_sparse: rows must be strictly ascending".to_string(),
+        });
+    }
+    let data = a.data();
+    let head = 4 * (m / 4);
+    // acc[j]: the four dot lanes of output j, then its tail.
+    let mut acc = vec![[0.0f64; 5]; k];
+    for &(i, v) in x {
+        let lane = if i < head { i % 4 } else { 4 };
+        for (j, out) in acc.iter_mut().enumerate() {
+            out[lane] += data[j * m + i] * v;
+        }
+    }
+    Ok(acc.iter().map(|l| l[0] + l[1] + l[2] + l[3] + l[4]).collect())
 }
 
 /// Dense `C = A * B` via the cache-blocked kernel, parallelized over

@@ -19,7 +19,7 @@
 //!
 //! | level | trigger      | rows / sweep of the one batch call          |
 //! |-------|--------------|---------------------------------------------|
-//! | 0     | depth < 50%  | the model's own policy (exact: one GEMM)    |
+//! | 0     | depth < 50%  | the model's own policy (exact: one sweep)   |
 //! | 1     | depth ≥ 50%  | cluster-pruned probes (base `nprobe`)       |
 //! | 2     | depth ≥ 75%  | + compressed f32 sweep                      |
 //! | 3     | depth ≥ 90%  | probes narrowed to half the base `nprobe`   |

@@ -5,8 +5,8 @@
 //! deserialize) per invocation; the daemon amortizes it across a
 //! process lifetime and coalesces concurrent queries into one scoring
 //! batch ([`lsi_core::LsiModel::query_top_batch_at`]), so on an exact
-//! model the document sweep runs as one GEMM instead of one GEMV per
-//! request (DESIGN.md §3i).
+//! model one sweep of the document matrix scores the whole batch
+//! instead of one sweep per request (DESIGN.md §3i).
 //!
 //! The transport is a hand-rolled bounded HTTP/1.1 server over
 //! `std::net` — no async runtime, no external dependencies. Robustness
@@ -21,7 +21,7 @@
 //!    expire while queued are dropped *before* scoring and answered
 //!    `504`; slow clients are bounded by read/write socket timeouts.
 //! 3. **Graceful degradation.** Under sustained queue pressure the
-//!    batcher walks a ladder — exact coalesced GEMM → cluster-pruned
+//!    batcher walks a ladder — exact coalesced sweep → cluster-pruned
 //!    probes → compressed f32 sweep → narrowed probes — trading recall
 //!    for latency *before* shedding (see [`batcher`]).
 //! 4. **Containment.** Each connection is served under

@@ -291,19 +291,24 @@ impl Vocabulary {
         counts
     }
 
-    /// Sparse version of [`Vocabulary::count_vector`]:
-    /// `(indices, counts)` pairs sorted by index.
-    pub fn sparse_count_vector(&self, text: &str) -> (Vec<usize>, Vec<f64>) {
-        let dense = self.count_vector(text);
-        let mut idx = Vec::new();
-        let mut val = Vec::new();
-        for (i, &c) in dense.iter().enumerate() {
-            if c != 0.0 {
-                idx.push(i);
-                val.push(c);
+    /// Sparse version of [`Vocabulary::count_vector`]: the nonzero
+    /// `(term, count)` pairs, in ascending term order. Only the units of
+    /// `text` itself are looked up and counted, so the cost follows the
+    /// query's length, not the vocabulary's.
+    pub fn sparse_count_vector(&self, text: &str) -> Vec<(usize, f64)> {
+        let mut hits: Vec<usize> = Self::index_units(text, &self.rules)
+            .into_iter()
+            .filter_map(|(_, key)| self.index.get(&key).copied())
+            .collect();
+        hits.sort_unstable();
+        let mut counts: Vec<(usize, f64)> = Vec::with_capacity(hits.len());
+        for i in hits {
+            match counts.last_mut() {
+                Some((j, c)) if *j == i => *c += 1.0,
+                _ => counts.push((i, 1.0)),
             }
         }
-        (idx, val)
+        counts
     }
 
     /// Build the raw term-document *count* matrix for `corpus`
@@ -448,12 +453,38 @@ mod tests {
     #[test]
     fn sparse_count_vector_matches_dense() {
         let v = Vocabulary::build(&tiny_corpus(), &ParsingRules::default());
-        let (idx, val) = v.sparse_count_vector("dog dog cat");
-        let dense = v.count_vector("dog dog cat");
-        for (i, &ix) in idx.iter().enumerate() {
-            assert_eq!(dense[ix], val[i]);
+        for text in ["dog dog cat", "the cat and a unicorn", "", "zebra", "cat dog cat dog dog"] {
+            let sparse = v.sparse_count_vector(text);
+            let mut expanded = vec![0.0; v.len()];
+            for &(i, c) in &sparse {
+                expanded[i] = c;
+            }
+            assert_eq!(expanded, v.count_vector(text), "{text:?}");
+            assert!(sparse.windows(2).all(|w| w[0].0 < w[1].0), "{text:?}");
+            assert!(sparse.iter().all(|&(_, c)| c > 0.0), "{text:?}");
         }
-        assert_eq!(val.iter().sum::<f64>(), 3.0);
+    }
+
+    #[test]
+    fn sparse_count_vector_counts_phrases() {
+        let c = Corpus::from_pairs([
+            ("1", "blood pressure blood pressure"),
+            ("2", "blood pressure"),
+            ("3", "pressure blood"),
+        ]);
+        let rules = ParsingRules {
+            min_df: 2,
+            word_ngrams: 2,
+            ..Default::default()
+        };
+        let v = Vocabulary::build(&c, &rules);
+        let text = "blood pressure blood pressure unknown";
+        let mut expanded = vec![0.0; v.len()];
+        for (i, c) in v.sparse_count_vector(text) {
+            expanded[i] = c;
+        }
+        assert_eq!(expanded, v.count_vector(text));
+        assert_eq!(expanded[v.index_of("blood pressure").unwrap()], 2.0);
     }
 
     #[test]
