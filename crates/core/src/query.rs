@@ -386,7 +386,8 @@ impl LsiModel {
     /// project them: the local transform on each count times the
     /// stored global weight (folded-in terms carry weight 1), then the
     /// gather `qᵀ U_k` over just those rows, then the divide by `σ`.
-    fn project_sparse(&self, counts: &[(usize, f64)]) -> Result<Vec<f64>> {
+    /// Folding-in projects new documents (Eq. 7) through it too.
+    pub(crate) fn project_sparse(&self, counts: &[(usize, f64)]) -> Result<Vec<f64>> {
         let k = self.k();
         // Per pair: the weighting (2) and its row's k multiply-adds;
         // then the k divides.

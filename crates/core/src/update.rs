@@ -1,95 +1,279 @@
 //! Updating an LSI database: folding-in, SVD-updating, recomputing.
 //!
 //! §2.3 of the paper defines the three options; §4 gives the
-//! SVD-updating algebra (O'Brien, reference \[24\]), reproduced here
-//! phase by phase:
+//! SVD-updating algebra (O'Brien, reference \[24\]):
 //!
 //! * **Folding-in** (Eqs. 7–8) — project new documents/terms onto the
-//!   *existing* factors. Cheap (`2mkp` flops per Table 7) but "new terms
+//!   *existing* factors; a new document projects exactly like a query
+//!   (Eq. 7 is Eq. 6). Cheap (`2mkp` flops per Table 7) but "new terms
 //!   and documents have no effect on the representation of the
 //!   pre-existing terms and documents", and it "corrupts the
 //!   orthogonality" of the factor matrices (§4.3).
-//! * **SVD-updating** (Eqs. 10–13) — reduce the update to a small dense
-//!   SVD (`F`, `H`, or `Q`) and rotate the existing factors. The
-//!   factors stay orthonormal. The paper's printed reductions assume
-//!   the new material lies in the span of the current factors; this
-//!   implementation carries the orthogonal residual along (one extra
-//!   QR of the out-of-span components, à la Zha–Simon), which makes
-//!   the update *exact* for `B = (A_k | D)` — matching what the
-//!   paper's own §4.4 example actually computes ("the best rank-2
-//!   approximation B₂ to B") and reproducing its Figure 9. When the
-//!   residual vanishes the formulas reduce to the paper's Eq. 13
-//!   verbatim.
+//! * **SVD-updating** (Eqs. 10–13) — one kernel computes the rank-k SVD
+//!   of the low-rank modification `[A_k ⊕ 0] + X Yᵀ`: new documents are
+//!   `X = D`, `Y = [0; I_p]` (Eqs. 10, 13), new terms `X = [0; I_q]`,
+//!   `Y = Tᵀ` (Eq. 11), weight corrections `X = Y_j`, `Y = Z_j` (Eq. 12).
+//!   An *append* side `[0; I_c]` (`c` new factor rows) is orthonormal and
+//!   orthogonal to its factor `F` already. A *span* side `x` over `F`'s
+//!   rows is projected (`Fᵀx`) and its residual `x − F Fᵀx` is
+//!   orthonormalized into `Q` with coefficients `R`. The kernel takes the
+//!   dense SVD `W_x S W_yᵀ` of the small middle matrix
+//!   `K = [Fᵀx; R_x][Fᵀy; R_y]ᵀ + diag(Σ, 0)` and rotates each factor:
+//!   `[F | Q]·W` for a span side, `[F·W_top; W_bottom]` for an append
+//!   side. Carrying the residuals (à la Zha–Simon) keeps the factors
+//!   orthonormal and makes the update *exact* for `B = (A_k | D)` — what
+//!   the paper's own §4.4 example computes ("the best rank-2
+//!   approximation B₂ to B"), reproducing its Figure 9. When the
+//!   residuals vanish, `K` is the paper's `F`, `H` or `Q` verbatim.
 //! * **Recomputing** — "not an updating method, but a way of creating
 //!   an LSI-generated database ... from scratch", the accuracy
 //!   yardstick.
+//!
+//! The stored weighted matrix holds the rows of `U` and `V` whose origin
+//! is [`DocOrigin::Svd`], in order; each SVD-update grows it by the same
+//! `X Yᵀ`. Every routine validates its whole batch before changing state.
 
-use lsi_linalg::{jacobi_svd, ops, DenseMatrix};
+use std::collections::HashSet;
+
+use lsi_linalg::{jacobi_svd, ops, qr, vecops, DenseMatrix};
 use lsi_sparse::{CooMatrix, CscMatrix};
 use lsi_svd::{robust_svd, RobustOptions};
 use lsi_text::Corpus;
 
+use crate::complexity::CostParams;
 use crate::model::{DocOrigin, LsiModel};
 use crate::{Error, Result};
 
+/// One side of a low-rank modification `[A_k ⊕ 0] + X Yᵀ`: the update
+/// vectors over the term factor `U` (`X`) or the document factor `V`
+/// (`Y`).
+enum Side {
+    /// `c` new factor rows, each updated by its own unit vector.
+    Append(usize),
+    /// Update vectors over the factor's existing rows, each given by its
+    /// nonzero `(row, value)` pairs in ascending row order.
+    Span(Vec<Vec<(usize, f64)>>),
+}
+
+impl Side {
+    /// Project this side onto the factor `f` (rows × k): the stacked
+    /// coefficients `[Fᵀx; R]` ((k + kept) × rank) and, for a span side,
+    /// the orthonormal basis `Q` of the residual `x − F Fᵀx` (`R = Qᵀ`
+    /// times the residual; dependent residual columns are dropped).
+    fn project(&self, f: &DenseMatrix) -> Result<(DenseMatrix, Option<DenseMatrix>)> {
+        let k = f.ncols();
+        let cols = match self {
+            Side::Append(c) => {
+                // Unit vectors on new rows: `Fᵀx = 0`, `Q = [0; I_c]`, `R = I_c`.
+                let coef = DenseMatrix::zeros(k, *c).vcat(&DenseMatrix::identity(*c))?;
+                return Ok((coef, None));
+            }
+            Side::Span(cols) => cols,
+        };
+        let r = cols.len();
+        let mut fx = DenseMatrix::zeros(k, r);
+        let mut resid = DenseMatrix::zeros(f.nrows(), r);
+        for (l, x) in cols.iter().enumerate() {
+            let coef = ops::matvec_t_sparse(f, x)?;
+            let out = resid.col_mut(l);
+            for &(i, v) in x {
+                out[i] = v;
+            }
+            for (a, &c) in coef.iter().enumerate() {
+                vecops::axpy(-c, f.col(a), out);
+            }
+            fx.col_mut(l).copy_from_slice(&coef);
+        }
+        let mut q = resid.clone();
+        let kept = qr::mgs_orthonormalize(&mut q);
+        let kept: Vec<usize> = (0..r).filter(|&l| kept[l]).collect();
+        let data = kept.iter().flat_map(|&l| q.col(l)).copied().collect();
+        let q = DenseMatrix::from_col_major(f.nrows(), kept.len(), data)?;
+        let coef = fx.vcat(&ops::matmul_tn(&q, &resid)?)?;
+        Ok((coef, Some(q)))
+    }
+
+    /// The update vectors in stored-matrix coordinates, and the stored
+    /// dimension after the update. An appended row becomes stored row
+    /// `len + l`; a span vector keeps only its entries on `Svd`-origin
+    /// rows, renumbered by their rank among them.
+    fn stored_vectors(&self, origins: &[DocOrigin], len: usize) -> (Vec<Vec<(usize, f64)>>, usize) {
+        let cols = match self {
+            Side::Append(c) => return ((0..*c).map(|l| vec![(len + l, 1.0)]).collect(), len + c),
+            Side::Span(cols) => cols,
+        };
+        let mut ranks = 0..;
+        let rank: Vec<Option<usize>> = origins
+            .iter()
+            .map(|&o| (o == DocOrigin::Svd).then(|| ranks.next()).flatten())
+            .collect();
+        let vectors = cols
+            .iter()
+            .map(|x| {
+                x.iter()
+                    .filter_map(|&(i, v)| Some((rank.get(i).copied()??, v)))
+                    .collect()
+            })
+            .collect();
+        (vectors, len)
+    }
+}
+
+/// Rotate factor `f` by the kept singular vectors `w` of the middle
+/// matrix: `[F | Q]·W` for a span side (basis `Q`), `[F·W_top; W_bottom]`
+/// for an append side.
+fn rotate(f: &DenseMatrix, basis: Option<&DenseMatrix>, w: &DenseMatrix) -> Result<DenseMatrix> {
+    Ok(match basis {
+        Some(q) => ops::matmul(&f.hcat(q)?, w)?,
+        None => {
+            let (k, keep) = (f.ncols(), w.ncols());
+            let top = ops::matmul(f, &w.submatrix(0, k, 0, keep))?;
+            top.vcat(&w.submatrix(k, w.nrows(), 0, keep))?
+        }
+    })
+}
+
+/// The nonzero entries of a dense vector as `(index, value)` pairs.
+fn nonzeros(values: impl IntoIterator<Item = f64>) -> Vec<(usize, f64)> {
+    values
+        .into_iter()
+        .enumerate()
+        // lsi-analyze: allow(float-safety) — an exact zero adds ±0.0 to the projection and nothing to the stored matrix; NaN entries are kept.
+        .filter(|&(_, v)| v != 0.0)
+        .collect()
+}
+
 /// Append `rows` (each of length `m.ncols()`) to the bottom of `m`.
-fn append_rows(m: &DenseMatrix, rows: &[Vec<f64>]) -> crate::Result<DenseMatrix> {
-    let extra = DenseMatrix::from_rows(rows).unwrap_or_else(|_| DenseMatrix::zeros(0, m.ncols()));
+fn append_rows(m: &DenseMatrix, rows: &[Vec<f64>]) -> Result<DenseMatrix> {
     if rows.is_empty() {
         return Ok(m.clone());
     }
-    Ok(m.vcat(&extra)?)
+    Ok(m.vcat(&DenseMatrix::from_rows(rows)?)?)
+}
+
+/// Keep the items whose origin is `Svd`.
+fn keep_svd<'a, T>(items: Vec<T>, origins: impl IntoIterator<Item = &'a DocOrigin>) -> Vec<T> {
+    items
+        .into_iter()
+        .zip(origins)
+        .filter(|(_, o)| **o == DocOrigin::Svd)
+        .map(|(item, _)| item)
+        .collect()
 }
 
 impl LsiModel {
-    /// Weight raw per-term counts for one new document with the stored
-    /// scheme (local transform × stored global weights, padding
-    /// folded-in term rows with unit global weight).
-    fn weight_doc_counts(&self, counts: &[f64]) -> Vec<f64> {
-        counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                let g = self.global_weights.get(i).copied().unwrap_or(1.0);
-                self.weighting.local.apply(c) * g
-            })
-            .collect()
+    /// Table 7's cost model at the model's current shape; each update
+    /// charges its row once the batch is validated.
+    fn table7(&self) -> CostParams {
+        CostParams::with_defaults(self.n_terms(), self.n_docs(), self.k())
+    }
+
+    /// Reject a batch of new document ids that repeats an id or names
+    /// one already present.
+    fn check_new_doc_ids<'a>(&self, ids: impl IntoIterator<Item = &'a str>) -> Result<()> {
+        let mut seen = HashSet::new();
+        for id in ids {
+            let context = if !seen.insert(id) {
+                format!("document id {id} repeated in the batch")
+            } else if self.doc_index(id).is_some() {
+                format!("document id {id} already present")
+            } else {
+                continue;
+            };
+            return Err(Error::Inconsistent { context });
+        }
+        Ok(())
+    }
+
+    /// Reject a batch of new terms unless each has one count per
+    /// document and a name (compared lowercased, as stored) that is
+    /// neither indexed nor repeated in the batch.
+    fn check_new_terms(&self, terms: &[(String, Vec<f64>)]) -> Result<()> {
+        let n = self.n_docs();
+        let mut seen = HashSet::new();
+        for (name, counts) in terms {
+            let lowered = name.to_lowercase();
+            let context = if counts.len() != n {
+                format!(
+                    "term {name} has {} counts but the model holds {n} documents",
+                    counts.len()
+                )
+            } else if self.term_index(&lowered).is_some() {
+                format!("term {name} already indexed")
+            } else if !seen.insert(lowered) {
+                format!("term {name} repeated in the batch")
+            } else {
+                continue;
+            };
+            return Err(Error::Inconsistent { context });
+        }
+        Ok(())
+    }
+
+    /// Replace the factors by the rank-k SVD of `[U Σ Vᵀ ⊕ 0] + X Yᵀ`,
+    /// `x` over `U` and `y` over `V` (see the module docs), and grow the
+    /// stored weighted matrix by the same `X Yᵀ`. The caller appends the
+    /// ids or terms of any appended rows.
+    fn low_rank_update(&mut self, x: Side, y: Side) -> Result<()> {
+        let k = self.k();
+        let (cx, qx) = x.project(&self.u)?;
+        if cx.ncols() == 0 {
+            return Ok(());
+        }
+        let (cy, qy) = y.project(&self.v)?;
+        let mut middle = ops::matmul_nt(&cx, &cy)?;
+        for (a, &s) in self.s.iter().enumerate() {
+            middle.add_to(a, a, s);
+        }
+        let svd = jacobi_svd(&middle)?;
+        let keep = k.min(svd.s.len());
+        let u = rotate(&self.u, qx.as_ref(), &svd.u.truncate_cols(keep))?;
+        let v = rotate(&self.v, qy.as_ref(), &svd.v.truncate_cols(keep))?;
+
+        let stored = &self.weighted;
+        let (xs, rows) = x.stored_vectors(&self.term_origins, stored.nrows());
+        let (ys, cols) = y.stored_vectors(&self.doc_origins, stored.ncols());
+        let mut coo = CooMatrix::new(rows, cols);
+        for (i, j, w) in stored.iter() {
+            coo.push(i, j, w)?;
+        }
+        for (xl, yl) in xs.iter().zip(&ys) {
+            for &(i, xv) in xl {
+                for &(j, yv) in yl {
+                    coo.push(i, j, xv * yv)?;
+                }
+            }
+        }
+
+        self.u = u;
+        self.v = v;
+        self.s = svd.s[..keep].to_vec();
+        self.weighted = coo.to_csc();
+        self.refresh_doc_norms();
+        // Every document row rotated (and appended ones arrived): re-derive
+        // the index assignments; a row-count change forces a rebuild.
+        self.index_reassign_all()
     }
 
     /// Fold in new documents (Eq. 7): each document is projected as
-    /// `d̂ = dᵀ U_k Σ_k⁻¹` and appended to `V_k`. Existing coordinates
+    /// `d̂ = dᵀ U_k Σ_k⁻¹` — the query projection of Eq. 6, which also
+    /// charges the flops — and appended to `V_k`. Existing coordinates
     /// are untouched.
     pub fn fold_in_documents(&mut self, corpus: &Corpus) -> Result<()> {
         let _span = lsi_obs::span("fold_in");
-        // Table 7: folding in p documents costs 2mkp flops.
-        lsi_obs::add_flops(
-            crate::complexity::CostParams::with_defaults(self.n_terms(), self.n_docs(), self.k())
-                .fold_in_documents(corpus.len()) as f64,
-        );
+        self.check_new_doc_ids(corpus.docs.iter().map(|d| d.id.as_str()))?;
         lsi_obs::count("update.fold_in_docs.count", corpus.len() as u64);
-        let mut new_rows = Vec::with_capacity(corpus.len());
+        let new_rows = corpus
+            .docs
+            .iter()
+            .map(|doc| self.project_sparse(&self.vocab.sparse_count_vector(&doc.text)))
+            .collect::<Result<Vec<_>>>()?;
+        let appended_from = self.v.nrows();
+        self.v = append_rows(&self.v, &new_rows)?;
         for doc in &corpus.docs {
-            if self.doc_index(&doc.id).is_some() {
-                return Err(Error::Inconsistent {
-                    context: format!("document id {} already present", doc.id),
-                });
-            }
-            let mut counts = self.vocab.count_vector(&doc.text);
-            counts.resize(self.n_terms(), 0.0);
-            let weighted = self.weight_doc_counts(&counts);
-            let mut dhat = vec![0.0; self.k()];
-            for (j, q) in dhat.iter_mut().enumerate() {
-                *q = lsi_linalg::vecops::dot(&weighted, self.u.col(j));
-                if self.s[j] > 0.0 {
-                    *q /= self.s[j];
-                }
-            }
-            new_rows.push(dhat);
             self.doc_ids.push(doc.id.as_str().into());
             self.doc_origins.push(DocOrigin::FoldedIn);
         }
-        let appended_from = self.v.nrows();
-        self.v = append_rows(&self.v, &new_rows)?;
         self.refresh_doc_norms();
         // Folded-in rows are pure appends: route each to its nearest
         // centroid (retrains automatically once drift accumulates).
@@ -105,43 +289,28 @@ impl LsiModel {
     /// the first [`LsiModel::n_docs`] documents.
     pub fn fold_in_terms(&mut self, terms: &[(String, Vec<f64>)]) -> Result<()> {
         let _span = lsi_obs::span("fold_in");
+        self.check_new_terms(terms)?;
         // Table 7: folding in q terms costs 2nkq flops.
-        lsi_obs::add_flops(
-            crate::complexity::CostParams::with_defaults(self.n_terms(), self.n_docs(), self.k())
-                .fold_in_terms(terms.len()) as f64,
-        );
+        lsi_obs::add_flops(self.table7().fold_in_terms(terms.len()) as f64);
         lsi_obs::count("update.fold_in_terms.count", terms.len() as u64);
-        let n = self.n_docs();
-        let mut new_rows = Vec::with_capacity(terms.len());
-        for (name, counts) in terms {
-            if counts.len() != n {
-                return Err(Error::Inconsistent {
-                    context: format!(
-                        "term {name} has {} counts but the model holds {n} documents",
-                        counts.len()
-                    ),
-                });
-            }
-            let lowered = name.to_lowercase();
-            if self.term_index(&lowered).is_some() {
-                return Err(Error::Inconsistent {
-                    context: format!("term {name} already indexed"),
-                });
-            }
-            let weighted: Vec<f64> = counts.iter().map(|&c| self.weighting.local.apply(c)).collect();
-            let mut that = vec![0.0; self.k()];
-            for (j, q) in that.iter_mut().enumerate() {
-                *q = lsi_linalg::vecops::dot(&weighted, self.v.col(j));
-                if self.s[j] > 0.0 {
-                    *q /= self.s[j];
+        let local = self.weighting.local;
+        let new_rows = terms
+            .iter()
+            .map(|(_, counts)| {
+                let weighted: Vec<f64> = counts.iter().map(|&c| local.apply(c)).collect();
+                let mut that = ops::matvec_t(&self.v, &weighted)?;
+                for (q, &s) in that.iter_mut().zip(&self.s).filter(|(_, &s)| s > 0.0) {
+                    *q /= s;
                 }
-            }
-            new_rows.push(that);
-            self.folded_terms.push(lowered);
+                Ok(that)
+            })
+            .collect::<Result<Vec<_>>>()?;
+        self.u = append_rows(&self.u, &new_rows)?;
+        for (name, _) in terms {
+            self.folded_terms.push(name.to_lowercase());
             self.term_origins.push(DocOrigin::FoldedIn);
             self.global_weights.push(1.0);
         }
-        self.u = append_rows(&self.u, &new_rows)?;
         Ok(())
     }
 
@@ -153,13 +322,7 @@ impl LsiModel {
     /// applied internally with the stored global weights.
     pub fn svd_update_documents(&mut self, d_counts: &CscMatrix, ids: &[String]) -> Result<()> {
         let _span = lsi_obs::span("update");
-        lsi_obs::add_flops(
-            crate::complexity::CostParams::with_defaults(self.n_terms(), self.n_docs(), self.k())
-                .svd_update_documents(d_counts.ncols(), d_counts.nnz()) as f64,
-        );
-        lsi_obs::count("update.svd_update_docs.count", d_counts.ncols() as u64);
         let m = self.n_terms();
-        let k = self.k();
         let p = d_counts.ncols();
         if d_counts.nrows() != m {
             return Err(Error::Inconsistent {
@@ -174,118 +337,24 @@ impl LsiModel {
                 context: format!("{p} new documents but {} ids", ids.len()),
             });
         }
-        for id in ids {
-            if self.doc_index(id).is_some() {
-                return Err(Error::Inconsistent {
-                    context: format!("document id {id} already present"),
-                });
-            }
-        }
-
+        self.check_new_doc_ids(ids.iter().map(String::as_str))?;
+        lsi_obs::add_flops(self.table7().svd_update_documents(p, d_counts.nnz()) as f64);
+        lsi_obs::count("update.svd_update_docs.count", p as u64);
         // Weight D consistently with the stored scheme.
-        let mut d_weighted = d_counts.clone();
+        let mut d = d_counts.clone();
         let local = self.weighting.local;
-        d_weighted.map_values(|v| local.apply(v));
-        let mut scale = self.global_weights.clone();
-        scale.resize(m, 1.0);
-        d_weighted.scale_rows(&scale)?;
-
-        // Dhat = U_k^T D  (k x p) and the dense copy of D.
-        let mut dhat = DenseMatrix::zeros(k, p);
-        let mut d_dense = DenseMatrix::zeros(m, p);
-        for c in 0..p {
-            let (rows, vals) = d_weighted.col(c);
-            for (&r, &v) in rows.iter().zip(vals.iter()) {
-                d_dense.set(r, c, v);
-            }
-            for j in 0..k {
-                let uj = self.u.col(j);
-                let mut acc = 0.0;
-                for (&r, &v) in rows.iter().zip(vals.iter()) {
-                    acc += uj[r] * v;
-                }
-                dhat.set(j, c, acc);
-            }
-        }
-
-        // Residual of D outside span(U_k): R = D - U_k Dhat, then an
-        // orthonormal basis Q_r (m x p') with coefficients
-        // R_r = Q_r^T R. The paper's Eq. 13 is the special case
-        // R = 0.
-        let mut resid = d_dense.clone();
-        for c in 0..p {
-            for j in 0..k {
-                let coeff = dhat.get(j, c);
-                let uj = self.u.col(j).to_vec();
-                lsi_linalg::vecops::axpy(-coeff, &uj, resid.col_mut(c));
-            }
-        }
-        let mut q_r = resid.clone();
-        let kept = lsi_linalg::qr::mgs_orthonormalize(&mut q_r);
-        let kept_cols: Vec<Vec<f64>> = (0..p)
-            .filter(|&c| kept[c])
-            .map(|c| q_r.col(c).to_vec())
+        d.map_values(|v| local.apply(v));
+        d.scale_rows(&self.global_weights)?;
+        let cols = (0..p)
+            .map(|c| {
+                let (rows, vals) = d.col(c);
+                rows.iter().copied().zip(vals.iter().copied()).collect()
+            })
             .collect();
-        let pr = kept_cols.len();
-        let q_r = if pr > 0 {
-            DenseMatrix::from_cols(&kept_cols)?
-        } else {
-            DenseMatrix::zeros(m, 0)
-        };
-        // R_r = Q_r^T resid (pr x p).
-        let r_r = ops::matmul_tn(&q_r, &resid)?;
-
-        // Extended middle matrix F~ = [[Sigma, Dhat], [0, R_r]],
-        // (k+pr) x (k+p).
-        let mut f = DenseMatrix::zeros(k + pr, k + p);
-        for j in 0..k {
-            f.set(j, j, self.s[j]);
-        }
-        for c in 0..p {
-            for j in 0..k {
-                f.set(j, k + c, dhat.get(j, c));
-            }
-            for j in 0..pr {
-                f.set(k + j, k + c, r_r.get(j, c));
-            }
-        }
-        let svd_f = jacobi_svd(&f)?;
-        let keep = k.min(svd_f.s.len());
-        let u_f = svd_f.u.truncate_cols(keep); // (k+pr) x keep
-        let v_f = svd_f.v.truncate_cols(keep); // (k+p) x keep
-        let sigma_new = svd_f.s[..keep].to_vec();
-
-        // U <- [U_k | Q_r] U_F (rotates folded-in term rows too).
-        let u_ext = self.u.hcat(&q_r)?;
-        self.u = ops::matmul(&u_ext, &u_f)?;
-        // V <- blockdiag(V_k, I_p) V_F.
-        let v_f_top = v_f.submatrix(0, k, 0, keep);
-        let v_f_bottom = v_f.submatrix(k, k + p, 0, keep);
-        let v_old = ops::matmul(&self.v, &v_f_top)?;
-        self.v = v_old.vcat(&v_f_bottom)?;
-        self.s = sigma_new;
-
-        self.refresh_doc_norms();
-        // The rotation moved every document vector (and appended p new
-        // ones): re-derive all index assignments against the frozen
-        // centroids; the row-count change forces a rebuild.
-        self.index_reassign_all()?;
+        self.low_rank_update(Side::Span(cols), Side::Append(p))?;
         for id in ids {
             self.doc_ids.push(id.as_str().into());
             self.doc_origins.push(DocOrigin::Svd);
-        }
-        // Grow the stored weighted matrix for later recomputation /
-        // weight corrections. (Stored matrix covers only vocab terms.)
-        for c in 0..p {
-            let (rows, vals) = d_weighted.col(c);
-            let keep: Vec<(usize, f64)> = rows
-                .iter()
-                .zip(vals.iter())
-                .filter(|(&r, _)| r < self.weighted.nrows())
-                .map(|(&r, &v)| (r, v))
-                .collect();
-            let (rr, vv): (Vec<usize>, Vec<f64>) = keep.into_iter().unzip();
-            self.weighted.push_col(&rr, &vv)?;
         }
         Ok(())
     }
@@ -293,126 +362,20 @@ impl LsiModel {
     /// SVD-update with new terms (Eq. 11).
     ///
     /// Each entry gives a new term's name and its raw counts over the
-    /// model's documents (length [`LsiModel::n_docs`]).
+    /// model's documents (length [`LsiModel::n_docs`]). New terms get
+    /// unit global weight, as in [`LsiModel::fold_in_terms`].
     pub fn svd_update_terms(&mut self, terms: &[(String, Vec<f64>)]) -> Result<()> {
         let _span = lsi_obs::span("update");
-        let nnz_t: usize = terms
+        self.check_new_terms(terms)?;
+        let local = self.weighting.local;
+        let t: Vec<_> = terms
             .iter()
-            .map(|(_, c)| c.iter().filter(|&&v| v != 0.0).count())
-            .sum();
-        lsi_obs::add_flops(
-            crate::complexity::CostParams::with_defaults(self.n_terms(), self.n_docs(), self.k())
-                .svd_update_terms(terms.len(), nnz_t) as f64,
-        );
+            .map(|(_, counts)| nonzeros(counts.iter().map(|&c| local.apply(c))))
+            .collect();
+        let nnz_t = t.iter().map(Vec::len).sum();
+        lsi_obs::add_flops(self.table7().svd_update_terms(terms.len(), nnz_t) as f64);
         lsi_obs::count("update.svd_update_terms.count", terms.len() as u64);
-        let n = self.n_docs();
-        let k = self.k();
-        let q = terms.len();
-        if q == 0 {
-            return Ok(());
-        }
-        for (name, counts) in terms {
-            if counts.len() != n {
-                return Err(Error::Inconsistent {
-                    context: format!(
-                        "term {name} has {} counts but the model holds {n} documents",
-                        counts.len()
-                    ),
-                });
-            }
-            if self.term_index(name).is_some() {
-                return Err(Error::Inconsistent {
-                    context: format!("term {name} already indexed"),
-                });
-            }
-        }
-
-        // T (q x n), locally weighted.
-        let t_rows: Vec<Vec<f64>> = terms
-            .iter()
-            .map(|(_, counts)| counts.iter().map(|&c| self.weighting.local.apply(c)).collect())
-            .collect();
-
-        // TV = T V_k (q x k), and the residual of T^T outside span(V_k):
-        // resid = T^T - V_k (TV)^T (n x q), orthonormalized as Q_r with
-        // coefficients R_r = Q_r^T resid. The paper's Eq. 11 algebra is
-        // the special case resid = 0.
-        let mut tv = DenseMatrix::zeros(q, k);
-        for (qi, row) in t_rows.iter().enumerate() {
-            for j in 0..k {
-                tv.set(qi, j, lsi_linalg::vecops::dot(row, self.v.col(j)));
-            }
-        }
-        let mut resid = DenseMatrix::zeros(n, q);
-        for (qi, row) in t_rows.iter().enumerate() {
-            resid.col_mut(qi).copy_from_slice(row);
-            for j in 0..k {
-                let coeff = tv.get(qi, j);
-                let vj = self.v.col(j).to_vec();
-                lsi_linalg::vecops::axpy(-coeff, &vj, resid.col_mut(qi));
-            }
-        }
-        let mut q_r = resid.clone();
-        let kept = lsi_linalg::qr::mgs_orthonormalize(&mut q_r);
-        let kept_cols: Vec<Vec<f64>> = (0..q)
-            .filter(|&c| kept[c])
-            .map(|c| q_r.col(c).to_vec())
-            .collect();
-        let qr_count = kept_cols.len();
-        let q_r = if qr_count > 0 {
-            DenseMatrix::from_cols(&kept_cols)?
-        } else {
-            DenseMatrix::zeros(n, 0)
-        };
-        let r_r = ops::matmul_tn(&q_r, &resid)?; // qr_count x q
-
-        // H~ = [[Sigma, 0], [TV, R_r^T]]  ((k+q) x (k+qr_count)).
-        let mut h = DenseMatrix::zeros(k + q, k + qr_count);
-        for j in 0..k {
-            h.set(j, j, self.s[j]);
-        }
-        for qi in 0..q {
-            for j in 0..k {
-                h.set(k + qi, j, tv.get(qi, j));
-            }
-            for j in 0..qr_count {
-                h.set(k + qi, k + j, r_r.get(j, qi));
-            }
-        }
-        let svd_h = jacobi_svd(&h)?;
-        let keep = k.min(svd_h.s.len());
-        let u_h = svd_h.u.truncate_cols(keep); // (k+q) x keep
-        let v_h = svd_h.v.truncate_cols(keep); // (k+qr_count) x keep
-        let sigma_new = svd_h.s[..keep].to_vec();
-
-        // U <- blockdiag(U_k, I_q) U_H.
-        let u_h_top = u_h.submatrix(0, k, 0, keep);
-        let u_h_bottom = u_h.submatrix(k, k + q, 0, keep);
-        let u_old = ops::matmul(&self.u, &u_h_top)?;
-        self.u = u_old.vcat(&u_h_bottom)?;
-        // V <- [V_k | Q_r] V_H (rotates folded-in document rows too).
-        let v_ext = self.v.hcat(&q_r)?;
-        self.v = ops::matmul(&v_ext, &v_h)?;
-        self.s = sigma_new;
-        self.refresh_doc_norms();
-        // Every document row rotated: re-derive index assignments.
-        self.index_reassign_all()?;
-
-        // Rebuild the stored weighted matrix with the q new rows (new
-        // terms get unit global weight, mirroring fold_in_terms).
-        let old = &self.weighted;
-        let mut coo = CooMatrix::new(old.nrows() + q, old.ncols());
-        for (r, c, v) in old.iter() {
-            coo.push(r, c, v).expect("within shape");
-        }
-        for (qi, row) in t_rows.iter().enumerate() {
-            for (c, &v) in row.iter().enumerate().take(old.ncols()) {
-                if v != 0.0 {
-                    coo.push(old.nrows() + qi, c, v).expect("within shape");
-                }
-            }
-        }
-        self.weighted = coo.to_csc();
+        self.low_rank_update(Side::Append(terms.len()), Side::Span(t))?;
         for (name, _) in terms {
             self.folded_terms.push(name.to_lowercase());
             self.term_origins.push(DocOrigin::Svd);
@@ -430,20 +393,7 @@ impl LsiModel {
     /// model's documents.
     pub fn svd_update_weights(&mut self, changes: &[(usize, Vec<f64>)]) -> Result<()> {
         let _span = lsi_obs::span("update");
-        let nnz_z: usize = changes
-            .iter()
-            .map(|(_, d)| d.iter().filter(|&&v| v != 0.0).count())
-            .sum();
-        lsi_obs::add_flops(
-            crate::complexity::CostParams::with_defaults(self.n_terms(), self.n_docs(), self.k())
-                .svd_update_weights(changes.len(), nnz_z) as f64,
-        );
-        lsi_obs::count("update.svd_update_weights.count", changes.len() as u64);
-        let k = self.k();
         let n = self.n_docs();
-        if changes.is_empty() {
-            return Ok(());
-        }
         for (term, delta) in changes {
             if *term >= self.n_terms() {
                 return Err(Error::Inconsistent {
@@ -459,131 +409,39 @@ impl LsiModel {
                 });
             }
         }
-
-        // W = A_k + Y Z^T with Y the unit columns selecting the
-        // re-weighted term rows and Z the per-document deltas. The
-        // paper's Eq. 12 projects both onto the current factors
-        // (Q = Sigma + U^T Y Z^T V); as with the other phases we carry
-        // the out-of-span residuals so the rank-j update of A_k is
-        // exact.
-        let j_count = changes.len();
-        let m_rows = self.n_terms();
-
-        // Y (m x j): unit columns; Yhat = U^T Y (k x j); residual
-        // RY = Y - U Yhat.
-        let mut yhat = DenseMatrix::zeros(k, j_count);
-        let mut ry = DenseMatrix::zeros(m_rows, j_count);
-        for (jj, (term, _)) in changes.iter().enumerate() {
-            let urow = self.u.row(*term);
-            for a in 0..k {
-                yhat.set(a, jj, urow[a]);
-            }
-            ry.set(*term, jj, 1.0);
-            for a in 0..k {
-                let coeff = urow[a];
-                let ua = self.u.col(a).to_vec();
-                lsi_linalg::vecops::axpy(-coeff, &ua, ry.col_mut(jj));
-            }
-        }
-        let mut qy = ry.clone();
-        let kept_y = lsi_linalg::qr::mgs_orthonormalize(&mut qy);
-        let qy_cols: Vec<Vec<f64>> = (0..j_count)
-            .filter(|&c| kept_y[c])
-            .map(|c| qy.col(c).to_vec())
+        let y = changes.iter().map(|&(term, _)| vec![(term, 1.0)]).collect();
+        let z: Vec<_> = changes
+            .iter()
+            .map(|(_, delta)| nonzeros(delta.iter().copied()))
             .collect();
-        let jy = qy_cols.len();
-        let qy = if jy > 0 {
-            DenseMatrix::from_cols(&qy_cols)?
-        } else {
-            DenseMatrix::zeros(m_rows, 0)
-        };
-        let ry_coef = ops::matmul_tn(&qy, &ry)?; // jy x j
-
-        // Z (n x j): deltas; Zhat = V^T Z; residual RZ = Z - V Zhat.
-        let mut zhat = DenseMatrix::zeros(k, j_count);
-        let mut rz = DenseMatrix::zeros(n, j_count);
-        for (jj, (_, delta)) in changes.iter().enumerate() {
-            rz.col_mut(jj).copy_from_slice(delta);
-            for a in 0..k {
-                let coeff = lsi_linalg::vecops::dot(delta, self.v.col(a));
-                zhat.set(a, jj, coeff);
-                let va = self.v.col(a).to_vec();
-                lsi_linalg::vecops::axpy(-coeff, &va, rz.col_mut(jj));
-            }
-        }
-        let mut qz = rz.clone();
-        let kept_z = lsi_linalg::qr::mgs_orthonormalize(&mut qz);
-        let qz_cols: Vec<Vec<f64>> = (0..j_count)
-            .filter(|&c| kept_z[c])
-            .map(|c| qz.col(c).to_vec())
-            .collect();
-        let jz = qz_cols.len();
-        let qz = if jz > 0 {
-            DenseMatrix::from_cols(&qz_cols)?
-        } else {
-            DenseMatrix::zeros(n, 0)
-        };
-        let rz_coef = ops::matmul_tn(&qz, &rz)?; // jz x j
-
-        // K = [[Sigma, 0],[0, 0]] + [Yhat; RYcoef] [Zhat; RZcoef]^T,
-        // (k+jy) x (k+jz).
-        let ystack = yhat.vcat(&ry_coef)?; // (k+jy) x j
-        let zstack = zhat.vcat(&rz_coef)?; // (k+jz) x j
-        let mut kmat = ops::matmul_nt(&ystack, &zstack)?;
-        for a in 0..k {
-            kmat.add_to(a, a, self.s[a]);
-        }
-        let svd_k = jacobi_svd(&kmat)?;
-        let keep = k.min(svd_k.s.len());
-        let u_ext = self.u.hcat(&qy)?;
-        let v_ext = self.v.hcat(&qz)?;
-        self.u = ops::matmul(&u_ext, &svd_k.u.truncate_cols(keep))?;
-        self.v = ops::matmul(&v_ext, &svd_k.v.truncate_cols(keep))?;
-        self.s = svd_k.s[..keep].to_vec();
-        self.refresh_doc_norms();
-        // Every document row rotated: re-derive index assignments.
-        self.index_reassign_all()?;
-
-        // Apply the deltas to the stored weighted matrix.
-        let old = &self.weighted;
-        let mut coo = CooMatrix::new(old.nrows(), old.ncols());
-        for (r, c, v) in old.iter() {
-            coo.push(r, c, v).expect("within shape");
-        }
-        for (term, delta) in changes {
-            if *term < old.nrows() {
-                for (c, &dv) in delta.iter().enumerate().take(old.ncols()) {
-                    if dv != 0.0 {
-                        coo.push(*term, c, dv).expect("within shape");
-                    }
-                }
-            }
-        }
-        self.weighted = coo.to_csc();
-        Ok(())
+        let nnz_z = z.iter().map(Vec::len).sum();
+        lsi_obs::add_flops(self.table7().svd_update_weights(changes.len(), nnz_z) as f64);
+        lsi_obs::count("update.svd_update_weights.count", changes.len() as u64);
+        self.low_rank_update(Side::Span(y), Side::Span(z))
     }
 
     /// Recompute the truncated SVD from the stored (possibly grown)
     /// weighted matrix — the paper's accuracy yardstick for the
-    /// updating methods. Folded-in document/term rows that are not part
-    /// of the stored matrix are dropped (they are re-foldable).
+    /// updating methods. Folded-in document/term rows are not part of
+    /// the stored matrix and are dropped (they are re-foldable).
     pub fn recompute(&mut self, k: usize) -> Result<()> {
         let _span = lsi_obs::span("recompute");
         let k = k.min(self.weighted.nrows().min(self.weighted.ncols()));
         let operator = lsi_sparse::ops::DualFormat::from_csc(self.weighted.clone());
         let (svd, _) = robust_svd(&operator, k, &RobustOptions::default())?;
-        // Rows beyond the stored matrix (folded-in) are dropped.
         self.u = svd.u;
         self.s = svd.s;
         self.v = svd.v;
-        let n_docs = self.weighted.ncols();
-        let n_terms = self.weighted.nrows();
-        self.doc_ids.truncate(n_docs);
-        self.doc_origins = vec![DocOrigin::Svd; n_docs];
-        self.folded_terms
-            .truncate(n_terms.saturating_sub(self.vocab.len()));
-        self.term_origins = vec![DocOrigin::Svd; n_terms];
-        self.global_weights.resize(n_terms, 1.0);
+        // Keep the rows the stored matrix holds: the `Svd`-origin ones.
+        self.doc_ids = keep_svd(std::mem::take(&mut self.doc_ids), &self.doc_origins);
+        self.folded_terms = keep_svd(
+            std::mem::take(&mut self.folded_terms),
+            self.term_origins.iter().skip(self.vocab.len()),
+        );
+        self.global_weights =
+            keep_svd(std::mem::take(&mut self.global_weights), &self.term_origins);
+        self.doc_origins = vec![DocOrigin::Svd; self.v.nrows()];
+        self.term_origins = vec![DocOrigin::Svd; self.u.nrows()];
         self.refresh_doc_norms();
         // V was rebuilt from scratch (and may have shrunk): the
         // row-count check inside forces a fresh clustering.
@@ -924,5 +782,124 @@ mod tests {
         assert!(cos.abs() > 0.5, "positions should correlate, cos {cos}");
         let dist = lsi_linalg::vecops::distance(&f, &u);
         assert!(dist > 1e-9, "but not coincide exactly");
+    }
+
+    #[test]
+    fn rejected_fold_in_batch_changes_nothing() {
+        let mut m = build(3);
+        let before = m.clone();
+        for batch in [
+            [("new1", "apple banana"), ("d1", "cherry date")],
+            [("new1", "apple banana"), ("new1", "cherry date")],
+        ] {
+            assert!(m.fold_in_documents(&Corpus::from_pairs(batch)).is_err());
+            assert_eq!(m.doc_index("new1"), None);
+            assert_eq!(m.doc_ids(), before.doc_ids());
+            assert_eq!(m.doc_matrix(), before.doc_matrix());
+        }
+        m.fold_in_documents(&Corpus::from_pairs([("new1", "apple banana")]))
+            .unwrap();
+        assert_eq!(m.doc_index("new1"), Some(6));
+    }
+
+    #[test]
+    fn rejected_fold_in_terms_batch_changes_nothing() {
+        let mut m = build(3);
+        let counts = vec![1.0, 0.0, 1.0, 0.0, 1.0, 0.0];
+        let batch = [
+            ("kiwi".to_string(), counts.clone()),
+            ("kiwi".to_string(), counts.clone()),
+        ];
+        assert!(m.fold_in_terms(&batch).is_err());
+        assert_eq!(m.term_index("kiwi"), None);
+        assert_eq!(m.n_terms(), m.vocabulary().len());
+        m.project_text("kiwi apple").unwrap();
+        m.fold_in_terms(&[("kiwi".to_string(), counts)]).unwrap();
+        assert!(m.term_index("kiwi").is_some());
+    }
+
+    #[test]
+    fn svd_update_documents_rejects_repeated_ids() {
+        let mut m = build(3);
+        let d = m.vocabulary().count_matrix(&Corpus::from_pairs([
+            ("n1", "apple fig"),
+            ("n1", "date grape"),
+        ]));
+        assert!(m
+            .svd_update_documents(&d, &["n1".to_string(), "n1".to_string()])
+            .is_err());
+        assert_eq!(m.n_docs(), 6);
+        assert_eq!(m.weighted_matrix().ncols(), 6);
+    }
+
+    #[test]
+    fn svd_update_terms_rejects_repeated_and_indexed_names() {
+        let mut m = build(3);
+        let counts = vec![1.0, 0.0, 1.0, 0.0, 1.0, 0.0];
+        let repeated = [
+            ("kiwi".to_string(), counts.clone()),
+            ("KIWI".to_string(), counts.clone()),
+        ];
+        assert!(m.svd_update_terms(&repeated).is_err());
+        // Names are compared lowercased, as they are stored.
+        assert!(m
+            .svd_update_terms(&[("Apple".to_string(), counts)])
+            .is_err());
+        assert_eq!(m.n_terms(), m.vocabulary().len());
+        assert_eq!(m.weighted_matrix().nrows(), m.vocabulary().len());
+    }
+
+    #[test]
+    fn recompute_keeps_svd_updated_documents_after_a_fold_in() {
+        let mut m = build(3);
+        m.fold_in_documents(&Corpus::from_pairs([("f1", "apple cherry")]))
+            .unwrap();
+        let d = m
+            .vocabulary()
+            .count_matrix(&Corpus::from_pairs([("u1", "banana date")]));
+        m.svd_update_documents(&d, &["u1".to_string()]).unwrap();
+        m.recompute(3).unwrap();
+        let ids: Vec<&str> = m.doc_ids().iter().map(|id| id.as_ref()).collect();
+        assert_eq!(ids, ["d1", "d2", "d3", "d4", "d5", "d6", "u1"]);
+        assert_eq!(m.weighted_matrix().col(6), d.col(0));
+    }
+
+    /// Fold in term `kiwi`, then SVD-update term `melon`; returns the
+    /// model and `melon`'s counts.
+    fn folded_kiwi_updated_melon() -> (LsiModel, Vec<f64>) {
+        let mut m = build(3);
+        m.fold_in_terms(&[("kiwi".to_string(), vec![1.0, 0.0, 1.0, 0.0, 1.0, 0.0])])
+            .unwrap();
+        let melon = vec![0.0, 2.0, 1.0, 0.0, 0.0, 1.0];
+        m.svd_update_terms(&[("melon".to_string(), melon.clone())])
+            .unwrap();
+        (m, melon)
+    }
+
+    #[test]
+    fn recompute_keeps_svd_updated_terms_after_a_term_fold_in() {
+        let (mut m, melon) = folded_kiwi_updated_melon();
+        let vocab = m.vocabulary().len();
+        m.recompute(3).unwrap();
+        assert_eq!(m.term_index("kiwi"), None);
+        assert_eq!(m.term_index("melon"), Some(vocab));
+        assert_eq!(m.n_terms(), vocab + 1);
+        assert_eq!(m.weighted_matrix().to_dense().row(vocab), melon);
+    }
+
+    #[test]
+    fn weight_correction_reaches_the_stored_row_after_a_term_fold_in() {
+        let (mut m, _) = folded_kiwi_updated_melon();
+        let vocab = m.vocabulary().len();
+        let before = m.weighted_matrix().to_dense();
+        let row = m.term_index("melon").unwrap();
+        assert_eq!(row, vocab + 1);
+        m.svd_update_weights(&[(row, vec![0.5, 0.0, 0.0, 0.0, 0.25, 0.0])])
+            .unwrap();
+        let after = m.weighted_matrix().to_dense();
+        assert_eq!(after.row(vocab), [0.5, 2.0, 1.0, 0.0, 0.25, 1.0]);
+        for i in 0..vocab {
+            assert_eq!(after.row(i), before.row(i));
+        }
     }
 }

@@ -68,13 +68,14 @@ pub fn jacobi_svd(a: &DenseMatrix) -> Result<Svd> {
         let mut rotated = false;
 
         // de Rijk pivoting: keep columns ordered by decreasing norm so the
-        // dominant directions settle first.
+        // dominant directions settle first. The input is finite and norms
+        // are ≥ +0, so `total_cmp` orders them as `partial_cmp` would.
         let mut norms: Vec<f64> = (0..n).map(|j| vecops::nrm2(w.col(j))).collect();
         let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&x, &y| norms[y].partial_cmp(&norms[x]).expect("finite norms"));
+        order.sort_by(|&x, &y| norms[y].total_cmp(&norms[x]));
         permute_cols(&mut w, &order);
         permute_cols(&mut v, &order);
-        norms.sort_by(|x, y| y.partial_cmp(x).expect("finite norms"));
+        norms.sort_by(|x, y| y.total_cmp(x));
 
         // Columns whose norm has decayed below eps^2 of the dominant
         // column are pure rounding residue; their squared norms underflow
@@ -131,7 +132,7 @@ pub fn jacobi_svd(a: &DenseMatrix) -> Result<Svd> {
     // Extract singular values (column norms), sort descending, normalize U.
     let norms: Vec<f64> = (0..n).map(|j| vecops::nrm2(w.col(j))).collect();
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&x, &y| norms[y].partial_cmp(&norms[x]).expect("finite singular values"));
+    order.sort_by(|&x, &y| norms[y].total_cmp(&norms[x]));
     permute_cols(&mut w, &order);
     permute_cols(&mut v, &order);
     let s: Vec<f64> = order.iter().map(|&j| norms[j]).collect();

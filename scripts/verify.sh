@@ -154,6 +154,35 @@ for threads in 4 1; do
     ./target/release/lsi index "$fault_dir/docs.tsv" --out "$fault_dir/fb.json" --k 2 >/dev/null
   LSI_NUM_THREADS=$threads ./target/release/lsi query "$fault_dir/fb.json" "car motor" | head -1 \
     | grep -q . || { echo "FAIL: fallback-built index cannot serve queries" >&2; exit 1; }
+  # lsi add: both methods grow the database by two documents, and a
+  # batch that repeats an id is rejected (exit 1) before anything is
+  # written.
+  printf 'new1\tcar driver motor\nnew2\tlion safari zebra\n' > "$fault_dir/add.tsv"
+  printf 'new1\tcar driver motor\nnew1\tlion safari zebra\n' > "$fault_dir/dup.tsv"
+  for method in fold update; do
+    added="$fault_dir/add-$method-$threads.json"
+    out=$(LSI_NUM_THREADS=$threads ./target/release/lsi \
+      add "$db" "$fault_dir/add.tsv" --out "$added" --method "$method") \
+      || { echo "FAIL: lsi add --method $method (threads=$threads) failed" >&2; exit 1; }
+    if ! grep -q 'database now holds 8 docs' <<<"$out"; then
+      echo "FAIL: lsi add --method $method (threads=$threads) printed: $out" >&2
+      exit 1
+    fi
+    dup="$fault_dir/dup-$method-$threads.json"
+    code=0
+    LSI_NUM_THREADS=$threads ./target/release/lsi \
+      add "$db" "$fault_dir/dup.tsv" --out "$dup" --method "$method" >/dev/null 2>&1 || code=$?
+    if [ "$code" -ne 1 ] || [ -e "$dup" ]; then
+      echo "FAIL: lsi add --method $method (threads=$threads) took a repeated id (exit $code)" >&2
+      exit 1
+    fi
+  done
+done
+for method in fold update; do
+  if ! cmp -s "$fault_dir/add-$method-4.json" "$fault_dir/add-$method-1.json"; then
+    echo "FAIL: lsi add --method $method differs between LSI_NUM_THREADS=4 and 1" >&2
+    exit 1
+  fi
 done
 
 echo "== smoke: lsi serve (endpoints, failpoint containment, graceful drain)"
