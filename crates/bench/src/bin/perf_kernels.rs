@@ -1061,6 +1061,19 @@ fn gate_measure(s: &Sizes) -> (Vec<(&'static str, f64)>, [f64; 3]) {
     });
     let pair_qps = queries.len() as f64 / pair_secs;
 
+    // Save and load of the same 10x-inflated exact model (20,000 docs,
+    // k = 64, ~33 MB of JSON): the database codec end to end, body,
+    // `#lsi1` trailer and checksum included, and the cold-start row of
+    // ROADMAP item 4.
+    let mut saved = String::new();
+    let save_secs = best_secs(s.time_reps, || {
+        saved = serve_model.to_json().expect("model saves");
+    });
+    let load_secs = best_secs(s.time_reps, || {
+        std::hint::black_box(LsiModel::from_json(&saved).expect("model loads"));
+    });
+    drop(saved);
+
     // Batched serving throughput end to end through the daemon: real
     // loopback sockets, coalesced scoring, same 10x-inflated corpus as
     // the pruned row. Gates the serve path's whole stack (HTTP parse,
@@ -1114,6 +1127,8 @@ fn gate_measure(s: &Sizes) -> (Vec<(&'static str, f64)>, [f64; 3]) {
             ("query_pruned_batch_qps", pruned_qps),
             ("query_pair_batch_qps", pair_qps),
             ("serve_batch_qps", serve_qps),
+            ("model_save_secs", save_secs),
+            ("model_load_secs", load_secs),
             ("analysis_full_secs", analysis_secs),
         ],
         [batch_qps, batch_qps_metrics, batch_qps_trace],

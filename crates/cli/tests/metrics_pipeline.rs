@@ -167,6 +167,22 @@ fn med_pipeline_reports_all_six_stages_with_nonzero_work() {
         assert!(calls >= 1.0, "{stage} reports zero calls");
     }
 
+    // Every command loads or saves the database through the streaming
+    // codec, and each side times its checksum apart.
+    for stage in ["save", "save.checksum", "load", "load.checksum"] {
+        let span = spans
+            .get(stage)
+            .unwrap_or_else(|| panic!("missing span {stage}; report: {text}"));
+        assert!(
+            span.get("secs").unwrap().as_f64().unwrap() > 0.0,
+            "{stage} reports zero wall time"
+        );
+        assert!(
+            span.get("calls").unwrap().as_f64().unwrap() >= 1.0,
+            "{stage} reports zero calls"
+        );
+    }
+
     // The SVD stage additionally breaks down into Lanczos phases.
     for phase in LANCZOS_PHASES {
         let span = spans

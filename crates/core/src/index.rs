@@ -167,8 +167,10 @@ impl ClusterIndex {
 
         let mut centroids = seed_centroids(v, &inv_norms, n_lists)?;
         let mut assignments = vec![0u32; n];
+        let mut panel = Panel::default();
         for _ in 0..KMEANS_MAX_ITERS {
-            let (next, best, changed) = assign_all(v, &inv_norms, &centroids, Some(&assignments))?;
+            let (next, best, changed) =
+                assign_all(v, &inv_norms, &centroids, Some(&assignments), &mut panel)?;
             assignments = next;
             update_centroids(v, &inv_norms, &assignments, &best, &mut centroids);
             if changed == 0 {
@@ -177,7 +179,7 @@ impl ClusterIndex {
         }
         // One final assignment against the converged centroids so the
         // stored assignments match the stored centroids exactly.
-        let (final_assign, _, _) = assign_all(v, &inv_norms, &centroids, None)?;
+        let (final_assign, _, _) = assign_all(v, &inv_norms, &centroids, None, &mut panel)?;
         let lists = lists_from(&final_assign, n_lists);
         Ok(ClusterIndex {
             centroids,
@@ -257,12 +259,12 @@ impl ClusterIndex {
             .iter()
             .map(|&d| if d > 0.0 { 1.0 / d } else { 0.0 })
             .collect();
+        let mut panel = Panel::default();
         let mut r0 = start;
         while r0 < n {
             let r1 = (r0 + ASSIGN_BLOCK_ROWS).min(n);
-            let block = normalized_block(v, &inv_norms[r0 - start..r1 - start], r0, r1);
-            let scores = ops::matmul_nt(&block, &self.centroids)?;
-            let (bestc, _) = argmax_rows(&scores);
+            let block_norms = &inv_norms[r0 - start..r1 - start];
+            let (bestc, _) = panel.best_lists(v, block_norms, (r0, r1), &self.centroids)?;
             for (i, c) in bestc.into_iter().enumerate() {
                 let doc = (r0 + i) as u32;
                 self.assignments.push(c);
@@ -284,7 +286,7 @@ impl ClusterIndex {
             .iter()
             .map(|&d| if d > 0.0 { 1.0 / d } else { 0.0 })
             .collect();
-        let (next, _, _) = assign_all(v, &inv_norms, &self.centroids, None)?;
+        let (next, _, _) = assign_all(v, &inv_norms, &self.centroids, None, &mut Panel::default())?;
         let changed = next
             .iter()
             .zip(self.assignments.iter())
@@ -321,31 +323,52 @@ fn lists_from(assignments: &[u32], n_lists: usize) -> Vec<Vec<u32>> {
     lists
 }
 
-/// Normalized copy of rows `r0..r1` of `v` (each row scaled by its
-/// precomputed inverse norm; zero rows stay zero).
-fn normalized_block(v: &DenseMatrix, inv_norms: &[f64], r0: usize, r1: usize) -> DenseMatrix {
-    let m = r1 - r0;
-    let k = v.ncols();
-    let mut block = DenseMatrix::zeros(m, k);
-    for j in 0..k {
-        let src = &v.col(j)[r0..r1];
-        let dst = block.col_mut(j);
-        for i in 0..m {
-            dst[i] = src[i] * inv_norms[i];
-        }
-    }
-    block
+/// The two panels of the blocked assignment sweep, kept across blocks
+/// and k-means rounds. Allocated per block, these multi-MiB buffers
+/// came back either as reused heap or as fresh pages to fault in,
+/// depending on what the process had freed before (a database load
+/// that built and dropped a `Json` tree left the heap warm; a
+/// streaming load does not), and training time followed.
+#[derive(Default)]
+struct Panel {
+    /// Rows `r0..r1` of `v`, each scaled by its inverse norm (zero rows
+    /// stay zero), column-major.
+    block: Vec<f64>,
+    /// `(r1 - r0) x n_lists` scores against the centroids, column-major.
+    scores: Vec<f64>,
 }
 
-/// Per-row argmax over a column-major score panel, ties to the lowest
-/// column (strict `>` with ascending column sweep). Returns the winning
-/// column and score per row.
-fn argmax_rows(scores: &DenseMatrix) -> (Vec<u32>, Vec<f64>) {
-    let m = scores.nrows();
+impl Panel {
+    /// Score the normalized rows `r0..r1` of `v` against every centroid
+    /// and return each row's best list and score. `inv_norms` holds one
+    /// inverse norm per row of the block.
+    fn best_lists(
+        &mut self,
+        v: &DenseMatrix,
+        inv_norms: &[f64],
+        (r0, r1): (usize, usize),
+        centroids: &DenseMatrix,
+    ) -> Result<(Vec<u32>, Vec<f64>)> {
+        let mut data = std::mem::take(&mut self.block);
+        data.clear();
+        for j in 0..v.ncols() {
+            let src = &v.col(j)[r0..r1];
+            data.extend(src.iter().zip(inv_norms).map(|(x, s)| x * s));
+        }
+        let block = DenseMatrix::from_col_major(r1 - r0, v.ncols(), data)?;
+        ops::matmul_nt_into(&block, centroids, &mut self.scores)?;
+        self.block = block.into_col_major();
+        Ok(argmax_rows(&self.scores, r1 - r0))
+    }
+}
+
+/// Per-row argmax over an `m`-row column-major score panel, ties to the
+/// lowest column (strict `>` with ascending column sweep). Returns the
+/// winning column and score per row.
+fn argmax_rows(scores: &[f64], m: usize) -> (Vec<u32>, Vec<f64>) {
     let mut best = vec![f64::NEG_INFINITY; m];
     let mut bestc = vec![0u32; m];
-    for c in 0..scores.ncols() {
-        let col = scores.col(c);
+    for (c, col) in scores.chunks_exact(m.max(1)).enumerate() {
         for i in 0..m {
             if col[i] > best[i] {
                 best[i] = col[i];
@@ -364,6 +387,7 @@ fn assign_all(
     inv_norms: &[f64],
     centroids: &DenseMatrix,
     prev: Option<&[u32]>,
+    panel: &mut Panel,
 ) -> Result<(Vec<u32>, Vec<f64>, usize)> {
     let n = v.nrows();
     let mut assignments = Vec::with_capacity(n);
@@ -371,9 +395,7 @@ fn assign_all(
     let mut r0 = 0usize;
     while r0 < n {
         let r1 = (r0 + ASSIGN_BLOCK_ROWS).min(n);
-        let block = normalized_block(v, &inv_norms[r0..r1], r0, r1);
-        let scores = ops::matmul_nt(&block, centroids)?;
-        let (bestc, best) = argmax_rows(&scores);
+        let (bestc, best) = panel.best_lists(v, &inv_norms[r0..r1], (r0, r1), centroids)?;
         assignments.extend_from_slice(&bestc);
         best_all.extend_from_slice(&best);
         r0 = r1;

@@ -1,5 +1,6 @@
 //! The LSI model: vocabulary + weighting + truncated SVD factors.
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use lsi_linalg::svd::Svd;
@@ -581,9 +582,16 @@ impl LsiModel {
                 lsi_fault::points::CORE_PERSIST_SAVE
             )));
         }
-        let body = persist::model_to_json(self);
-        let sum = fnv1a64(body.as_bytes());
-        Ok(format!("{body}\n{TRAILER_TAG} len={} fnv={sum:016x}", body.len()))
+        let _save = lsi_obs::span("save");
+        let mut json = persist::model_to_json(self);
+        let len = json.len();
+        let sum = {
+            let _checksum = lsi_obs::span("checksum");
+            fnv1a64(json.as_bytes())
+        };
+        // The writer left room for this line: no copy of the body.
+        let _ = write!(json, "\n{TRAILER_TAG} len={len} fnv={sum:016x}");
+        Ok(json)
     }
 
     /// Restore an LSI database from JSON.
@@ -600,7 +608,11 @@ impl LsiModel {
                 lsi_fault::points::CORE_PERSIST_LOAD
             )));
         }
-        let body = validate_trailer(json)?;
+        let _load = lsi_obs::span("load");
+        let body = {
+            let _checksum = lsi_obs::span("checksum");
+            validate_trailer(json)?
+        };
         let mut model = persist::model_from_json(body)?;
         model.validate_shape()?;
         // Norms are derived data; recompute rather than trusting the

@@ -30,6 +30,7 @@
 //! blocks (a lone query, a coalesced batch) and GEMM for wide ones
 //! (many facets). Every other sweep runs column by column.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use lsi_linalg::{ops, vecops, DenseMatrix};
@@ -43,6 +44,18 @@ use crate::model::LsiModel;
 use crate::multiquery::Combine;
 use crate::querylog::{self, Record};
 use crate::{Error, Result};
+
+thread_local! {
+    /// The f64 sweep's score panel (`n × b` for a block of `b` columns),
+    /// kept per thread between calls, so that a serving thread scoring
+    /// batch after batch allocates it once. Allocated per batch, its
+    /// hundreds of KiB came back either as reused heap or as freshly
+    /// mapped pages to fault in, depending on what the process had
+    /// freed before (a database load that built and dropped a `Json`
+    /// tree left the heap warm; a streaming load does not), and query
+    /// latency followed.
+    static SWEEP_PANEL: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+}
 
 /// One retrieved document.
 #[derive(Debug, Clone, PartialEq)]
@@ -599,6 +612,7 @@ impl LsiModel {
                 served[i] = Some(self.select_exact(&asks[i], &rows[i], &cols)?);
                 first += nf;
             }
+            SWEEP_PANEL.set(data);
         }
         for (i, rec) in recs.iter_mut().enumerate() {
             rec.str(
@@ -687,12 +701,13 @@ impl LsiModel {
         if block.iter().all(|(_, r)| matches!(r, Rows::All(_))) {
             lsi_obs::add_flops(((2 * k + 3) * n * block.len()) as f64);
             let cols: Vec<&[f64]> = block.iter().map(|&(col, _)| col).collect();
-            data = if cols.len() < ops::GEMM_MIN_COLS_THRESHOLD {
-                ops::matvec_block(&self.v, &cols)?
+            data = SWEEP_PANEL.take();
+            if cols.len() < ops::GEMM_MIN_COLS_THRESHOLD {
+                ops::matvec_block_into(&self.v, &cols, &mut data)?;
             } else {
                 let q = DenseMatrix::from_col_major(k, cols.len(), cols.concat())?;
-                ops::matmul(&self.v, &q)?.into_col_major()
-            };
+                ops::matmul_into(&self.v, &q, &mut data)?;
+            }
             for (c, col) in cols.iter().enumerate() {
                 to_cosines(&mut data[c * n..(c + 1) * n], vecops::nrm2(col), norms());
                 offs.push((c + 1) * n);

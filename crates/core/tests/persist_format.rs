@@ -102,3 +102,43 @@ fn short_centroid_buffer_fails_at_load() {
     assert!(matches!(err, Error::Persist(_)), "got {err}");
     assert!(err.to_string().contains("centroids"), "got {err}");
 }
+
+#[test]
+fn streamed_body_is_what_the_json_tree_writes() {
+    // The writer appends the schema without building a tree; its text
+    // must be exactly the tree's compact form, number for number.
+    let written = LsiModel::from_json(FIXTURE).unwrap().to_json().unwrap();
+    let body = body(&written);
+    let tree = lsi_obs::parse_json(body).unwrap();
+    assert_eq!(tree.to_string_compact(), body);
+    let before = lsi_obs::parse_json(self::body(FIXTURE)).unwrap();
+    assert_eq!(first_difference(&before, &tree, "$"), None);
+}
+
+#[test]
+fn members_load_in_any_order_and_unknown_ones_are_skipped() {
+    // Rebuild the fixture's body with its members reversed, whitespace
+    // between tokens and an unknown member: it loads to the same model.
+    let Json::Obj(members) = lsi_obs::parse_json(body(FIXTURE)).unwrap() else {
+        panic!("the fixture is an object");
+    };
+    let mut reordered: Vec<(String, Json)> = members.into_iter().rev().collect();
+    let added = Json::Arr(vec![Json::Null, Json::Bool(true)]);
+    reordered.insert(3, ("added_later".into(), added));
+    let text = Json::Obj(reordered).to_string_pretty();
+    let want = LsiModel::from_json(FIXTURE).unwrap().to_json().unwrap();
+    let got = LsiModel::from_json(&text).unwrap().to_json().unwrap();
+    assert_eq!(got, want);
+}
+
+#[test]
+fn repeated_member_fails_at_load() {
+    // Without its trailer the file loads unchecked; give it a second
+    // `s`. A reader must not pick one copy over the other.
+    let text = body(FIXTURE);
+    assert!(text.contains(",\"s\":["));
+    let repeated = text.replacen(",\"s\":[", ",\"s\":[1,2,3],\"s\":[", 1);
+    let err = LsiModel::from_json(&repeated).unwrap_err();
+    assert!(matches!(err, Error::Persist(_)), "got {err}");
+    assert_eq!(err.to_string(), "persistence failure: repeated field `s`");
+}

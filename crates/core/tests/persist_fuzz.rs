@@ -6,7 +6,7 @@
 
 use std::sync::OnceLock;
 
-use lsi_core::{LsiModel, LsiOptions};
+use lsi_core::{Error, LsiModel, LsiOptions};
 use lsi_text::{Corpus, ParsingRules, TermWeighting};
 use proptest::prelude::*;
 
@@ -40,6 +40,22 @@ fn valid_json() -> &'static str {
 fn load_never_panics(json: &str) {
     if let Err(e) = LsiModel::from_json(json) {
         let _ = e.to_string();
+    }
+}
+
+#[test]
+fn deep_nesting_is_a_typed_error_not_a_stack_overflow() {
+    // A megabyte of openers as a whole (trailer-less) file, and inside
+    // a member the reader steps over, which it must walk to the end.
+    let (body, _) = valid_json().rsplit_once('\n').unwrap();
+    for opener in ["[", "{\"a\":"] {
+        let deep = opener.repeat(1 << 20);
+        let err = LsiModel::from_json(&deep).unwrap_err();
+        assert!(matches!(err, Error::Persist(_)), "got {err}");
+        let skipped = format!("{{\"unknown\":{deep}{}", &body[1..]);
+        let err = LsiModel::from_json(&skipped).unwrap_err();
+        assert!(matches!(err, Error::Persist(_)), "got {err}");
+        assert!(err.to_string().contains("nesting deeper than"), "got {err}");
     }
 }
 

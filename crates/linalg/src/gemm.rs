@@ -298,6 +298,12 @@ fn gemm_span(
 /// contiguous blocks of output columns when the flop count warrants it.
 pub(crate) fn gemm(m: usize, n: usize, k: usize, a: View<'_>, b: View<'_>) -> Vec<f64> {
     let mut c = vec![0.0f64; m * n];
+    gemm_into(&mut c, m, n, k, a, b);
+    c
+}
+
+/// [`gemm`] accumulating into `c`: `m * n` zero-initialized values.
+pub(crate) fn gemm_into(c: &mut [f64], m: usize, n: usize, k: usize, a: View<'_>, b: View<'_>) {
     let flops = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
     let nthreads = rayon::current_num_threads();
     lsi_obs::add_flops(flops as f64);
@@ -313,9 +319,8 @@ pub(crate) fn gemm(m: usize, n: usize, k: usize, a: View<'_>, b: View<'_>) -> Ve
             });
     } else {
         lsi_obs::count("linalg.gemm.serial.count", 1);
-        gemm_span(&mut c, m, n, k, 0, a, b);
+        gemm_span(c, m, n, k, 0, a, b);
     }
-    c
 }
 
 /// Four column dot products fused over one sweep of `w`:

@@ -156,15 +156,38 @@ fn block_span(data: &[f64], m: usize, xs: &[&[f64]], r0: usize, ys: &mut [&mut [
 /// elements of `A` the rows are split across the pool. Each column is
 /// bit-identical to [`matvec`] of that column, at any thread count.
 pub fn matvec_block(a: &DenseMatrix, xs: &[&[f64]]) -> Result<Vec<f64>> {
+    check_block(a, xs)?;
+    let mut y = vec![0.0; a.nrows() * xs.len()];
+    block_sweep(a, xs, &mut y);
+    Ok(y)
+}
+
+/// [`matvec_block`] into `y`, resized to the `m × b` result and
+/// overwritten, so that a caller sweeping block after block reuses one
+/// buffer instead of allocating each result.
+pub fn matvec_block_into(a: &DenseMatrix, xs: &[&[f64]], y: &mut Vec<f64>) -> Result<()> {
+    check_block(a, xs)?;
+    y.clear();
+    y.resize(a.nrows() * xs.len(), 0.0);
+    block_sweep(a, xs, y);
+    Ok(())
+}
+
+fn check_block(a: &DenseMatrix, xs: &[&[f64]]) -> Result<()> {
     let (m, k) = (a.nrows(), a.ncols());
-    if let Some(x) = xs.iter().find(|x| x.len() != k) {
-        return Err(Error::DimensionMismatch {
+    match xs.iter().find(|x| x.len() != k) {
+        Some(x) => Err(Error::DimensionMismatch {
             context: format!("matvec_block: {m}x{k} with vector {}", x.len()),
-        });
+        }),
+        None => Ok(()),
     }
-    let mut y = vec![0.0; m * xs.len()];
+}
+
+/// The body of [`matvec_block`], accumulating into the zeroed `y`.
+fn block_sweep(a: &DenseMatrix, xs: &[&[f64]], y: &mut [f64]) {
+    let (m, k) = (a.nrows(), a.ncols());
     if m == 0 || xs.is_empty() {
-        return Ok(y);
+        return;
     }
     let data = a.data();
     let nthreads = rayon::current_num_threads();
@@ -189,7 +212,6 @@ pub fn matvec_block(a: &DenseMatrix, xs: &[&[f64]]) -> Result<Vec<f64>> {
             .enumerate()
             .for_each(|(s, ys)| block_span(data, m, xs, s * span, ys));
     }
-    Ok(y)
 }
 
 /// `y = A * x` (dense GEMV): the one-column case of [`matvec_block`].
@@ -340,6 +362,28 @@ pub fn matmul(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
     DenseMatrix::from_col_major(m, n, c)
 }
 
+/// [`matmul`] into `c`, resized to the `a.nrows() x b.ncols()`
+/// column-major result and overwritten, so that a caller multiplying
+/// block after block reuses one buffer.
+pub fn matmul_into(a: &DenseMatrix, b: &DenseMatrix, c: &mut Vec<f64>) -> Result<()> {
+    if a.ncols() != b.nrows() {
+        return Err(Error::DimensionMismatch {
+            context: format!(
+                "matmul_into: {}x{} with {}x{}",
+                a.nrows(),
+                a.ncols(),
+                b.nrows(),
+                b.ncols()
+            ),
+        });
+    }
+    let (m, n, k) = (a.nrows(), b.ncols(), a.ncols());
+    c.clear();
+    c.resize(m * n, 0.0);
+    gemm::gemm_into(c, m, n, k, View::normal(a), View::normal(b));
+    Ok(())
+}
+
 /// `C = A^T * B` without materializing the transpose: the packing step
 /// of the blocked kernel absorbs the transposition.
 pub fn matmul_tn(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
@@ -376,6 +420,27 @@ pub fn matmul_nt(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
     let (m, n, k) = (a.nrows(), b.nrows(), a.ncols());
     let c = gemm::gemm(m, n, k, View::normal(a), View::transposed(b));
     DenseMatrix::from_col_major(m, n, c)
+}
+
+/// [`matmul_nt`] into `c`, resized to the `a.nrows() x b.nrows()`
+/// column-major result and overwritten, as [`matmul_into`].
+pub fn matmul_nt_into(a: &DenseMatrix, b: &DenseMatrix, c: &mut Vec<f64>) -> Result<()> {
+    if a.ncols() != b.ncols() {
+        return Err(Error::DimensionMismatch {
+            context: format!(
+                "matmul_nt_into: {}x{} with {}x{} (transposed)",
+                a.nrows(),
+                a.ncols(),
+                b.nrows(),
+                b.ncols()
+            ),
+        });
+    }
+    let (m, n, k) = (a.nrows(), b.nrows(), a.ncols());
+    c.clear();
+    c.resize(m * n, 0.0);
+    gemm::gemm_into(c, m, n, k, View::normal(a), View::transposed(b));
+    Ok(())
 }
 
 /// Scale column `j` of `a` by `s[j]` (i.e. `A * diag(s)`), in place.

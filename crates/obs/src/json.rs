@@ -2,14 +2,24 @@
 //!
 //! This is the workspace's only JSON codec: every report, `/stats`
 //! body and query-log line goes through it, and so does the LSI
-//! database (`lsi-core`'s `persist` module maps the model onto a
-//! [`Json`] tree). Objects preserve insertion order so exported
-//! reports are stable and diffable. Numbers are `f64`, written with
-//! Rust's shortest round-trip formatting (integers without a fraction
-//! print bare, `-0.0` keeps its sign), so every finite `f64` survives
-//! write → parse bit-exactly and write → parse → write is a fixed
-//! point.
+//! database. Two layers share one grammar:
+//!
+//! - [`Reader`], a pull tokenizer that reads a document value by value
+//!   without building anything, and [`write_num`] / [`write_str`], which
+//!   append single values to a `String`. `lsi-core`'s `persist` module
+//!   streams the database through these.
+//! - [`Json`], an insertion-ordered tree (so exported reports are
+//!   stable and diffable), which [`parse`] builds on [`Reader`] and
+//!   [`Json::to_string_compact`] writes through the same two writers.
+//!
+//! Numbers are `f64`, written as integers when integral and below 1e15
+//! and otherwise as Rust's `{:?}` writes them (shortest round-trip
+//! digits, produced by the `ryu` module without going through
+//! `core::fmt`), so every finite `f64` survives write → parse
+//! bit-exactly and write → parse → write is a fixed point. Nesting
+//! deeper than [`MAX_DEPTH`] is a [`ParseError`].
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A JSON document node.
@@ -136,24 +146,26 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
-fn write_num(out: &mut String, v: f64) {
+/// Append the JSON text of a number: `null` for NaN and infinities
+/// (JSON has neither), an integral value below 1e15 as a bare integer
+/// (`-0.0` as `-0`), anything else as `format!("{v:?}")` writes it.
+pub fn write_num(out: &mut String, v: f64) {
     if !v.is_finite() {
-        // JSON has no Inf/NaN; null is the conventional degradation.
         out.push_str("null");
-    } else if v == v.trunc() && v.abs() < 1e15 {
+    } else if v.abs() < 1e15 && (v as i64) as f64 == v {
         // Write the sign apart: `as i64` would drop it from -0.0, which
         // must read back bit-exactly.
         if v.is_sign_negative() {
             out.push('-');
         }
-        let _ = write!(out, "{}", (v as i64).unsigned_abs());
+        crate::ryu::write_u64(out, (v as i64).unsigned_abs());
     } else {
-        // `{:?}` is the shortest representation that round-trips.
-        let _ = write!(out, "{v:?}");
+        crate::ryu::write_f64(out, v);
     }
 }
 
-fn write_str(out: &mut String, s: &str) {
+/// Append `s` as a JSON string literal, quotes included.
+pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -191,25 +203,111 @@ impl std::error::Error for ParseError {}
 /// Parse a complete JSON document (trailing whitespace allowed,
 /// trailing garbage rejected).
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after document"));
-    }
+    let mut r = Reader::new(input);
+    let v = tree(&mut r)?;
+    r.finish()?;
     Ok(v)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Build the tree of the next value. Recursion is bounded by
+/// [`MAX_DEPTH`], which the reader enforces.
+fn tree(r: &mut Reader<'_>) -> Result<Json, ParseError> {
+    Ok(match r.peek()? {
+        Kind::Null => {
+            r.null()?;
+            Json::Null
+        }
+        Kind::Bool => Json::Bool(r.bool()?),
+        Kind::Num => Json::Num(r.number()?),
+        Kind::Str => Json::Str(r.string()?.into_owned()),
+        Kind::Arr => {
+            let mut items = Vec::new();
+            let mut more = r.begin_array()?;
+            while more {
+                items.push(tree(r)?);
+                more = r.end_item()?;
+            }
+            Json::Arr(items)
+        }
+        Kind::Obj => {
+            let mut members = Vec::new();
+            let mut more = r.begin_object()?;
+            while more {
+                let key = r.key()?.into_owned();
+                members.push((key, tree(r)?));
+                more = r.end_member()?;
+            }
+            Json::Obj(members)
+        }
+    })
 }
 
-impl<'a> Parser<'a> {
+/// How many arrays and objects may enclose one another. Deeper input
+/// is a [`ParseError`], so neither the tree builder nor a caller's
+/// recursive reader can run out of stack on hostile input.
+pub const MAX_DEPTH: usize = 128;
+
+/// What the next value is, judged by its first byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// `null`
+    Null,
+    /// `true` or `false`
+    Bool,
+    /// A number.
+    Num,
+    /// A string.
+    Str,
+    /// An array.
+    Arr,
+    /// An object.
+    Obj,
+}
+
+/// A pull reader over one JSON document: the tokenizer [`parse`] builds
+/// its tree with, for callers that read a known schema straight into
+/// their own types.
+///
+/// Each value is read by first calling [`Reader::peek`] for its kind,
+/// then the method for that kind. An array is
+/// `let mut more = r.begin_array()?; while more { /* read item */ more = r.end_item()?; }`;
+/// an object the same with [`Reader::begin_object`], [`Reader::key`]
+/// before each member's value and [`Reader::end_member`] after it.
+/// [`Reader::finish`] then rejects anything but whitespace after the
+/// document. Whitespace, errors and their offsets are those of
+/// [`parse`].
+pub struct Reader<'a> {
+    text: &'a str,
+    bytes: &'a [u8],
+    pos: usize,
+    depth: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Reader<'a> {
+        Reader {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Bytes not read yet.
+    pub fn remaining(&self) -> usize {
+        self.rest().len()
+    }
+
+    /// The document ends here: only whitespace may follow.
+    pub fn finish(mut self) -> Result<(), ParseError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after document"));
+        }
+        Ok(())
+    }
+
     fn err(&self, message: &str) -> ParseError {
         ParseError {
             message: message.to_string(),
@@ -217,18 +315,22 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
+    fn byte(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
+    fn rest(&self) -> &'a [u8] {
+        self.bytes.get(self.pos..).unwrap_or_default()
+    }
+
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.byte(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn eat(&mut self, b: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
+        if self.byte() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
@@ -236,94 +338,123 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn eat_keyword(&mut self, kw: &str, v: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
+    fn eat_keyword(&mut self, kw: &str) -> Result<(), ParseError> {
+        if self.rest().starts_with(kw.as_bytes()) {
             self.pos += kw.len();
-            Ok(v)
+            Ok(())
         } else {
             Err(self.err(&format!("expected '{kw}'")))
         }
     }
 
-    fn value(&mut self) -> Result<Json, ParseError> {
-        match self.peek() {
-            Some(b'n') => self.eat_keyword("null", Json::Null),
-            Some(b't') => self.eat_keyword("true", Json::Bool(true)),
-            Some(b'f') => self.eat_keyword("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+    /// Skip whitespace and say what the next value is; an error when no
+    /// value starts there.
+    pub fn peek(&mut self) -> Result<Kind, ParseError> {
+        self.skip_ws();
+        match self.byte() {
+            Some(b'n') => Ok(Kind::Null),
+            Some(b't' | b'f') => Ok(Kind::Bool),
+            Some(b'"') => Ok(Kind::Str),
+            Some(b'[') => Ok(Kind::Arr),
+            Some(b'{') => Ok(Kind::Obj),
+            Some(b'-' | b'0'..=b'9') => Ok(Kind::Num),
             _ => Err(self.err("expected a JSON value")),
         }
     }
 
-    fn array(&mut self) -> Result<Json, ParseError> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
+    /// Read `null`.
+    pub fn null(&mut self) -> Result<(), ParseError> {
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
+        self.eat_keyword("null")
+    }
+
+    /// Read `true` or `false`.
+    pub fn bool(&mut self) -> Result<bool, ParseError> {
+        self.skip_ws();
+        if self.byte() == Some(b't') {
+            self.eat_keyword("true").map(|()| true)
+        } else {
+            self.eat_keyword("false").map(|()| false)
         }
     }
 
-    fn object(&mut self) -> Result<Json, ParseError> {
-        self.eat(b'{')?;
-        let mut members = Vec::new();
+    /// Read a number.
+    pub fn number(&mut self) -> Result<f64, ParseError> {
         self.skip_ws();
-        if self.peek() == Some(b'}') {
+        let start = self.pos;
+        if self.byte() == Some(b'-') {
             self.pos += 1;
-            return Ok(Json::Obj(members));
         }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(members));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
+        self.digits();
+        if self.byte() == Some(b'.') {
+            self.pos += 1;
+            self.digits();
         }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            // Copy the run of plain bytes up to the next quote or
-            // escape in one step. The input is a `&str` and the run
-            // ends on an ASCII byte, so it is whole UTF-8.
-            let start = self.pos;
-            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+        if matches!(self.byte(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.byte(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            let run = std::str::from_utf8(&self.bytes[start..self.pos])
-                .map_err(|_| self.err("invalid utf-8"))?;
-            out.push_str(run);
-            match self.peek() {
+            self.digits();
+        }
+        // The token is ASCII, so its ends are char boundaries.
+        self.text
+            .get(start..self.pos)
+            .and_then(|text| text.parse::<f64>().ok())
+            .ok_or_else(|| self.err("invalid number"))
+    }
+
+    fn digits(&mut self) {
+        while matches!(self.byte(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+    }
+
+    /// Read a string, borrowed from the input when it has no escapes.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        self.skip_ws();
+        self.eat(b'"')?;
+        Ok(self.string_body(true)?.unwrap_or_default())
+    }
+
+    /// Read a member name and the `:` after it.
+    pub fn key(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        let key = self.string()?;
+        self.skip_ws();
+        self.eat(b':')?;
+        Ok(key)
+    }
+
+    fn skip_string(&mut self) -> Result<(), ParseError> {
+        self.skip_ws();
+        self.eat(b'"')?;
+        self.string_body(false).map(drop)
+    }
+
+    /// Consume a string's text and closing quote. With `keep` the text
+    /// is returned, borrowed until an escape forces a copy; without it
+    /// the same checks run and nothing is allocated.
+    fn string_body(&mut self, keep: bool) -> Result<Option<Cow<'a, str>>, ParseError> {
+        let mut out: Option<Cow<'a, str>> = None;
+        loop {
+            // Take the run of plain bytes up to the next quote or escape
+            // in one step. The input is a `&str` and the run ends on an
+            // ASCII byte, so it is whole UTF-8.
+            let start = self.pos;
+            while !matches!(self.byte(), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            let run = self
+                .text
+                .get(start..self.pos)
+                .ok_or_else(|| self.err("invalid utf-8"))?;
+            if keep {
+                match &mut out {
+                    None => out = Some(Cow::Borrowed(run)),
+                    Some(text) => text.to_mut().push_str(run),
+                }
+            }
+            match self.byte() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
@@ -332,84 +463,145 @@ impl<'a> Parser<'a> {
                 Some(_) => {
                     // The run stopped at a backslash: decode one escape.
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let cp = self.hex4()?;
-                            // Surrogate pairs: join, or degrade to the
-                            // replacement character for a lone half.
-                            let c = if (0xD800..0xDC00).contains(&cp) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    let joined = 0x10000
-                                        + ((cp - 0xD800) << 10)
-                                        + (lo.wrapping_sub(0xDC00) & 0x3FF);
-                                    char::from_u32(joined).unwrap_or('\u{FFFD}')
-                                } else {
-                                    '\u{FFFD}'
-                                }
-                            } else {
-                                char::from_u32(cp).unwrap_or('\u{FFFD}')
-                            };
-                            out.push(c);
-                            continue;
-                        }
-                        _ => return Err(self.err("invalid escape sequence")),
+                    let c = self.escape()?;
+                    if let Some(text) = &mut out {
+                        text.to_mut().push(c);
                     }
-                    self.pos += 1;
                 }
             }
         }
+    }
+
+    /// The character an escape stands for; the cursor is past its `\`.
+    fn escape(&mut self) -> Result<char, ParseError> {
+        let c = match self.byte() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                self.pos += 1;
+                let cp = self.hex4()?;
+                // Surrogate pairs: join, or degrade to the replacement
+                // character for a lone half.
+                return Ok(if (0xD800..0xDC00).contains(&cp) {
+                    if self.rest().starts_with(b"\\u") {
+                        self.pos += 2;
+                        let lo = self.hex4()?;
+                        let joined =
+                            0x10000 + ((cp - 0xD800) << 10) + (lo.wrapping_sub(0xDC00) & 0x3FF);
+                        char::from_u32(joined).unwrap_or('\u{FFFD}')
+                    } else {
+                        '\u{FFFD}'
+                    }
+                } else {
+                    char::from_u32(cp).unwrap_or('\u{FFFD}')
+                });
+            }
+            _ => return Err(self.err("invalid escape sequence")),
+        };
+        self.pos += 1;
+        Ok(c)
     }
 
     fn hex4(&mut self) -> Result<u32, ParseError> {
         if self.pos + 4 > self.bytes.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("invalid \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        let v = self
+            .text
+            .get(self.pos..self.pos + 4)
+            .and_then(|s| u32::from_str_radix(s, 16).ok())
+            .ok_or_else(|| self.err("invalid \\u escape"))?;
         self.pos += 4;
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<Json, ParseError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+    fn open(&mut self, bracket: u8, close: u8) -> Result<bool, ParseError> {
+        self.skip_ws();
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        self.eat(bracket)?;
+        self.depth += 1;
+        self.skip_ws();
+        if self.byte() == Some(close) {
             self.pos += 1;
+            self.depth -= 1;
+            return Ok(false);
         }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
+        Ok(true)
+    }
+
+    fn next(&mut self, close: u8, message: &str) -> Result<bool, ParseError> {
+        self.skip_ws();
+        match self.byte() {
+            Some(b',') => {
                 self.pos += 1;
+                Ok(true)
+            }
+            Some(b) if b == close => {
+                self.pos += 1;
+                self.depth -= 1;
+                Ok(false)
+            }
+            _ => Err(self.err(message)),
+        }
+    }
+
+    /// Enter an array; `true` when an item follows.
+    pub fn begin_array(&mut self) -> Result<bool, ParseError> {
+        self.open(b'[', b']')
+    }
+
+    /// After an item: `true` when another follows, `false` at the `]`.
+    pub fn end_item(&mut self) -> Result<bool, ParseError> {
+        self.next(b']', "expected ',' or ']' in array")
+    }
+
+    /// Enter an object; `true` when a member follows.
+    pub fn begin_object(&mut self) -> Result<bool, ParseError> {
+        self.open(b'{', b'}')
+    }
+
+    /// After a member's value: `true` when another member follows,
+    /// `false` at the `}`.
+    pub fn end_member(&mut self) -> Result<bool, ParseError> {
+        self.next(b'}', "expected ',' or '}' in object")
+    }
+
+    /// Step over the next value, checking it as [`parse`] would but
+    /// keeping nothing.
+    pub fn skip_value(&mut self) -> Result<(), ParseError> {
+        match self.peek()? {
+            Kind::Null => self.null(),
+            Kind::Bool => self.bool().map(drop),
+            Kind::Num => self.number().map(drop),
+            Kind::Str => self.skip_string(),
+            Kind::Arr => {
+                let mut more = self.begin_array()?;
+                while more {
+                    self.skip_value()?;
+                    more = self.end_item()?;
+                }
+                Ok(())
+            }
+            Kind::Obj => {
+                let mut more = self.begin_object()?;
+                while more {
+                    self.skip_string()?;
+                    self.skip_ws();
+                    self.eat(b':')?;
+                    self.skip_value()?;
+                    more = self.end_member()?;
+                }
+                Ok(())
             }
         }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|text| text.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| self.err("invalid number"))
     }
 }
 
@@ -488,6 +680,78 @@ mod tests {
         }
         assert_eq!(Json::Num(-0.0).to_string_compact(), "-0");
         assert_eq!(Json::Num(-7.0).to_string_compact(), "-7");
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_parse_error() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = parse(&deep).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert_eq!(
+            err.message,
+            format!("nesting deeper than {MAX_DEPTH} levels")
+        );
+        // A megabyte of openers fails at the same place, without
+        // recursing a million frames deep.
+        for opener in ["[", "{\"a\":"] {
+            let text = opener.repeat(1 << 20);
+            let err = parse(&text).unwrap_err();
+            assert!(err.message.starts_with("nesting deeper"), "{err}");
+            assert_eq!(Reader::new(&text).skip_value(), Err(err));
+        }
+    }
+
+    #[test]
+    fn reader_pulls_values_in_document_order() {
+        let text =
+            r#" {"id": "plain", "esc": "a\"b", "xs": [1.5, -2, 3e2], "t": true, "n": null} "#;
+        let mut r = Reader::new(text);
+        assert_eq!(r.peek().unwrap(), Kind::Obj);
+        assert!(r.begin_object().unwrap());
+        assert_eq!(r.key().unwrap(), "id");
+        // A string without escapes is borrowed from the input.
+        assert!(matches!(r.string().unwrap(), Cow::Borrowed("plain")));
+        assert!(r.end_member().unwrap());
+        assert_eq!(r.key().unwrap(), "esc");
+        assert!(matches!(r.string().unwrap(), Cow::Owned(s) if s == "a\"b"));
+        assert!(r.end_member().unwrap());
+        assert_eq!(r.key().unwrap(), "xs");
+        let mut xs = Vec::new();
+        let mut more = r.begin_array().unwrap();
+        while more {
+            xs.push(r.number().unwrap());
+            more = r.end_item().unwrap();
+        }
+        assert_eq!(xs, [1.5, -2.0, 300.0]);
+        assert!(r.end_member().unwrap());
+        assert_eq!(r.key().unwrap(), "t");
+        assert_eq!(r.peek().unwrap(), Kind::Bool);
+        assert!(r.bool().unwrap());
+        assert!(r.end_member().unwrap());
+        assert_eq!(r.key().unwrap(), "n");
+        r.skip_value().unwrap();
+        assert!(!r.end_member().unwrap());
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn skipping_checks_exactly_what_parsing_checks() {
+        for text in [
+            r#"{"a": [1, {"b": "x\u00e9"}, null], "c": 2}"#,
+            r#"[1,]"#,
+            r#"{"a" 1}"#,
+            r#"["bad \q escape"]"#,
+            r#"["\u12"]"#,
+            r#"[1 2]"#,
+            r#"{"a": tru}"#,
+            r#"[-]"#,
+        ] {
+            let mut r = Reader::new(text);
+            let skipped = r.skip_value().and_then(|()| r.finish());
+            assert_eq!(skipped.err(), parse(text).err(), "{text}");
+        }
     }
 
     #[test]

@@ -34,6 +34,7 @@ mod event;
 mod export;
 mod json;
 mod metrics;
+mod ryu;
 mod span;
 mod stats;
 mod trace;
@@ -41,7 +42,10 @@ mod trace;
 pub use alloc::{thread_alloc_totals, CountingAlloc};
 pub use event::{event, level_enabled, max_level, set_max_level, Level};
 pub use export::{git_sha, git_sha_from, render_table, snapshot_to_json, RunReport};
-pub use json::{parse as parse_json, Json, ParseError};
+pub use json::{
+    parse as parse_json, write_num as write_json_num, write_str as write_json_str, Json,
+    Kind as JsonKind, ParseError, Reader as JsonReader,
+};
 pub use metrics::{
     bucket_index, bucket_upper_bound, Counter, Gauge, HistSnapshot, Histogram, Registry, Snapshot,
     GROWTH, HIST_BUCKETS,

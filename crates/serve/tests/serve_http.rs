@@ -163,6 +163,28 @@ fn endpoints_route_and_validate() {
 }
 
 #[test]
+fn deeply_nested_post_body_is_a_400_and_the_daemon_keeps_serving() {
+    let _g = fault_lock().lock().unwrap_or_else(|p| p.into_inner());
+    let srv = Running::start(ServeConfig::default());
+    // A body-limit-sized run of `[`: far past the JSON depth limit, so
+    // the parser must refuse it instead of recursing down the worker's
+    // stack.
+    let body = "[".repeat(64 * 1024);
+    let (code, text) = exchange(
+        srv.addr,
+        &format!(
+            "POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        ),
+    );
+    assert_eq!(code, 400, "{text}");
+    assert!(text.contains("nesting deeper than"), "{text}");
+    let (code, text) = get(srv.addr, "/query?q=car+motor&top=2");
+    assert_eq!(code, 200, "{text}");
+    srv.finish();
+}
+
+#[test]
 fn concurrent_queries_all_answer_and_batches_form() {
     let _g = fault_lock().lock().unwrap_or_else(|p| p.into_inner());
     let srv = Running::start(ServeConfig {

@@ -119,27 +119,37 @@ impl Vocabulary {
         };
 
         // Select keys passing the df window; pick the most frequent
-        // surface form (ties: lexicographically first) as display.
-        let mut entries: Vec<(String, String)> = df
-            .iter()
-            .filter(|(_, &d)| d >= rules.min_df && d <= max_df)
-            .map(|(key, _)| {
-                let surfaces = &surface_counts[key];
+        // surface form (ties: lexicographically first) as display. Every
+        // key was counted with its surface forms, so each has one.
+        let mut entries: Vec<(String, String, usize, usize)> = surface_counts
+            .into_iter()
+            .filter_map(|(key, surfaces)| {
+                let d = df
+                    .get(&key)
+                    .copied()
+                    .filter(|&d| d >= rules.min_df && d <= max_df)?;
+                let g = gf.get(&key).copied()?;
                 let display = surfaces
-                    .iter()
-                    .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
-                    .map(|(s, _)| s.clone())
-                    .expect("key has at least one surface form");
-                (display, key.clone())
+                    .into_iter()
+                    .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)))?
+                    .0;
+                Some((display, key, d, g))
             })
             .collect();
+        // Keys are distinct, so the counts never decide the order.
         entries.sort();
 
-        let displays: Vec<String> = entries.iter().map(|(d, _)| d.clone()).collect();
-        let keys: Vec<String> = entries.iter().map(|(_, k)| k.clone()).collect();
+        let mut displays = Vec::with_capacity(entries.len());
+        let mut keys = Vec::with_capacity(entries.len());
+        let mut doc_freq = Vec::with_capacity(entries.len());
+        let mut global_freq = Vec::with_capacity(entries.len());
+        for (display, key, d, g) in entries {
+            displays.push(display);
+            keys.push(key);
+            doc_freq.push(d);
+            global_freq.push(g);
+        }
         let index = term_map(&keys);
-        let doc_freq: Vec<usize> = keys.iter().map(|k| df[k]).collect();
-        let global_freq: Vec<usize> = keys.iter().map(|k| gf[k]).collect();
 
         lsi_obs::count("text.vocab.terms.count", keys.len() as u64);
         lsi_obs::count("text.vocab.docs.count", n_docs as u64);
@@ -319,9 +329,11 @@ impl Vocabulary {
     pub fn count_matrix(&self, corpus: &Corpus) -> CscMatrix {
         let mut coo = CooMatrix::new(self.len(), corpus.len());
         for (j, doc) in corpus.docs.iter().enumerate() {
-            for (_, key) in Self::index_units(&doc.text, &self.rules) {
-                if let Some(&i) = self.index.get(&key) {
-                    coo.push(i, j, 1.0).expect("indices within shape");
+            for (i, count) in self.sparse_count_vector(&doc.text) {
+                // `index` is built from `keys`, so `i` is a row of the
+                // shape and `j` one of its columns: the push cannot fail.
+                if let Err(e) = coo.push(i, j, count) {
+                    lsi_obs::error!("count_matrix: dropped a count outside the shape: {e}");
                 }
             }
         }
