@@ -9,7 +9,10 @@
 //!   the caller's crate (module paths inside a crate are ignored — a
 //!   crate-wide name match is an edge);
 //! * `use` aliases expand the first path segment, then a leading
-//!   workspace lib name (`lsi_core::..`) routes to that crate;
+//!   workspace lib name (`lsi_core::..`) routes to that crate, where a
+//!   renamed re-export in the crate root (`pub use json::{parse as
+//!   parse_json}`) expands once more, so `lsi_obs::parse_json` and
+//!   `lsi_obs::JsonReader::new` reach `json::parse` and `Reader::new`;
 //! * `Type::method(..)` and `Self::method(..)` resolve against the
 //!   impl blocks seen for that type anywhere in the workspace;
 //! * `self.method(..)` pins to the caller's own impl type when that
@@ -227,11 +230,16 @@ impl CallGraph {
     pub fn build(ws: &Workspace) -> CallGraph {
         let mut graph = CallGraph::default();
         // Node table + symbol maps.
-        let mut free_by_crate: BTreeMap<(String, String), Vec<usize>> = BTreeMap::new();
-        let mut type_method: BTreeMap<(String, String), Vec<usize>> = BTreeMap::new();
-        let mut method_by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        let mut owner_types: Vec<String> = Vec::new();
+        let mut sym = Symbols::default();
         for (fi, wf) in ws.files.iter().enumerate() {
+            if wf.source.rel_path == format!("{}/src/lib.rs", wf.crate_key) {
+                for u in &wf.items.uses {
+                    if u.path.last() != Some(&u.alias) {
+                        sym.renames
+                            .insert((wf.crate_key.clone(), u.alias.clone()), u.path.clone());
+                    }
+                }
+            }
             for (ii, f) in wf.items.fns.iter().enumerate() {
                 let id = graph.nodes.len();
                 let mut label = wf.crate_key.clone();
@@ -247,20 +255,20 @@ impl CallGraph {
                     item: ii,
                     label,
                 });
-                owner_types.push(f.self_type.clone().unwrap_or_default());
+                sym.owner_types.push(f.self_type.clone().unwrap_or_default());
                 if f.in_test {
                     continue;
                 }
                 match &f.self_type {
                     Some(ty) => {
-                        type_method
+                        sym.type_method
                             .entry((ty.clone(), f.name.clone()))
                             .or_default()
                             .push(id);
-                        method_by_name.entry(f.name.clone()).or_default().push(id);
+                        sym.method_by_name.entry(f.name.clone()).or_default().push(id);
                     }
                     None => {
-                        free_by_crate
+                        sym.free_by_crate
                             .entry((wf.crate_key.clone(), f.name.clone()))
                             .or_default()
                             .push(id);
@@ -280,17 +288,7 @@ impl CallGraph {
                 if call.macro_call {
                     continue;
                 }
-                let targets = resolve(
-                    ws,
-                    node.file,
-                    f,
-                    call,
-                    &free_by_crate,
-                    &type_method,
-                    &method_by_name,
-                    &owner_types,
-                );
-                for to in targets {
+                for to in resolve(ws, node.file, f, call, &sym) {
                     edge_set.insert(Edge {
                         from: id,
                         to,
@@ -528,24 +526,36 @@ const STD_METHOD_NAMES: &[&str] = &[
     "trim", "write", "zip",
 ];
 
+/// The symbol tables call sites resolve against.
+#[derive(Default)]
+struct Symbols {
+    /// `(crate key, fn name)` → free functions.
+    free_by_crate: BTreeMap<(String, String), Vec<usize>>,
+    /// `(type, method name)` → methods, workspace-wide.
+    type_method: BTreeMap<(String, String), Vec<usize>>,
+    /// Method name → methods of any type.
+    method_by_name: BTreeMap<String, Vec<usize>>,
+    /// Per node: its impl type (`""` for free functions).
+    owner_types: Vec<String>,
+    /// `(crate key, exported name)` → the path a crate root's renaming
+    /// `use .. as ..` points at.
+    renames: BTreeMap<(String, String), Vec<String>>,
+}
+
 /// Resolve one call site to target node ids (empty = no edge).
-#[allow(clippy::too_many_arguments)]
 fn resolve(
     ws: &Workspace,
     file_idx: usize,
     caller: &crate::items::FnItem,
     call: &crate::items::CallSite,
-    free_by_crate: &BTreeMap<(String, String), Vec<usize>>,
-    type_method: &BTreeMap<(String, String), Vec<usize>>,
-    method_by_name: &BTreeMap<String, Vec<usize>>,
-    owner_types: &[String],
+    sym: &Symbols,
 ) -> Vec<usize> {
     let wf = &ws.files[file_idx];
     if call.method {
         let name = &call.path[0];
         if call.self_receiver {
             if let Some(ty) = &caller.self_type {
-                if let Some(hits) = type_method.get(&(ty.clone(), name.clone())) {
+                if let Some(hits) = sym.type_method.get(&(ty.clone(), name.clone())) {
                     return hits.clone();
                 }
             }
@@ -558,13 +568,13 @@ fn resolve(
         if STD_METHOD_NAMES.contains(&name.as_str()) {
             return Vec::new();
         }
-        let hits = match method_by_name.get(name) {
+        let hits = match sym.method_by_name.get(name) {
             Some(hits) => hits,
             None => return Vec::new(),
         };
         let mut types = BTreeSet::new();
         for &id in hits {
-            types.insert(owner_types[id].as_str());
+            types.insert(sym.owner_types[id].as_str());
         }
         if types.len() == 1 {
             return hits.clone();
@@ -598,6 +608,17 @@ fn resolve(
     if segs.is_empty() {
         return Vec::new();
     }
+    // A name the target crate's root re-exports under a new name
+    // continues at the path it renames, inside that crate.
+    if let Some(path) = sym.renames.get(&(target_crate.clone(), segs[0].clone())) {
+        let rest = segs.split_off(1);
+        segs = path
+            .iter()
+            .filter(|seg| !matches!(seg.as_str(), "crate" | "self" | "super"))
+            .cloned()
+            .chain(rest)
+            .collect();
+    }
     let name = segs.last().cloned().unwrap_or_default();
     // `Type::method` / `Self::method`.
     if segs.len() >= 2 {
@@ -611,12 +632,12 @@ fn resolve(
             ty
         };
         if ty.chars().next().is_some_and(|c| c.is_uppercase()) {
-            return type_method.get(&(ty, name)).cloned().unwrap_or_default();
+            return sym.type_method.get(&(ty, name)).cloned().unwrap_or_default();
         }
     }
     // Free function by crate-wide name (module segments are ignored —
     // the documented same-crate heuristic).
-    free_by_crate
+    sym.free_by_crate
         .get(&(target_crate, name))
         .cloned()
         .unwrap_or_default()

@@ -163,6 +163,59 @@ fn serve_handler_reaching_the_scoring_entry_through_catch_unwind_is_silent() {
     .is_empty());
 }
 
+/// `lsi-obs`'s crate root re-exports its JSON reader under new names,
+/// and the reader indexes.
+const OBS_LIB: &str = "mod json;\npub use json::{parse as parse_json, Reader as JsonReader};\n";
+const OBS_JSON: &str = "pub fn parse(s: &[u8]) -> u8 {\n    s[0]\n}\n\
+                        pub struct Reader;\n\
+                        impl Reader {\n    pub fn new(s: &[u8]) -> u8 {\n        s[1]\n    }\n}\n";
+
+#[test]
+fn serve_contract_follows_renamed_reexports() {
+    // The handler's only route to each index site is a call through a
+    // renamed re-export: a function (`parse_json` → `json::parse`) and
+    // a type (`JsonReader::new` → `Reader::new`).
+    for call in ["lsi_obs::parse_json(body)", "lsi_obs::JsonReader::new(body)"] {
+        let serve = format!(
+            "pub fn handle_connection(body: &[u8]) {{\n    parse_post_query(body);\n}}\n\
+             fn parse_post_query(body: &[u8]) -> u8 {{\n    {call}\n}}\n"
+        );
+        let entries = [
+            ("crates/serve/src/server.rs", serve.as_str()),
+            ("crates/obs/src/lib.rs", OBS_LIB),
+            ("crates/obs/src/json.rs", OBS_JSON),
+        ];
+        assert_eq!(
+            hits("panic-reachability", &entries),
+            vec![("crates/serve/src/server.rs".to_string(), 1)],
+            "{call}"
+        );
+        let msgs = messages("panic-reachability", &entries);
+        assert!(
+            msgs[0].contains("serve contract") && msgs[0].contains("crates/obs/src/json.rs"),
+            "the witness ends at the reader's index site: {msgs:?}"
+        );
+    }
+}
+
+#[test]
+fn renamed_reexport_off_the_serve_path_is_silent() {
+    // The same index sites, reached through the same renames, but from
+    // a fn the handler never calls: indexing alone is contract-only.
+    let serve = "pub fn handle_connection(body: &[u8]) {\n    let _ = body;\n}\n\
+                 pub fn load(body: &[u8]) -> u8 {\n    \
+                 lsi_obs::parse_json(body) + lsi_obs::JsonReader::new(body)\n}\n";
+    assert!(hits(
+        "panic-reachability",
+        &[
+            ("crates/serve/src/server.rs", serve),
+            ("crates/obs/src/lib.rs", OBS_LIB),
+            ("crates/obs/src/json.rs", OBS_JSON),
+        ],
+    )
+    .is_empty());
+}
+
 // ------------------------------------------------------------------
 // unsafe-taint
 // ------------------------------------------------------------------

@@ -1,11 +1,10 @@
 //! Kernel-level performance snapshot used to populate BENCH_kernels.json.
 //!
-//! Measures the three hot paths the blocked-BLAS work targets:
-//! dense GEMM throughput (GFLOP/s), Lanczos wall time at k = 50 with
-//! full reorthogonalization, and query-scoring throughput (queries/sec,
-//! both one-at-a-time and batched). Prints one JSON run report to
-//! stdout (the lsi-obs `RunReport` schema: `name`/`meta`/`results`/
-//! `metrics`) so before/after runs can be diffed mechanically:
+//! Measures dense GEMM throughput (GFLOP/s), Lanczos wall time at
+//! k = 50 beside DESIGN.md §4's SVD ablations, and query-scoring
+//! throughput (queries/sec). Prints one JSON run report to stdout (the
+//! lsi-obs `RunReport` schema: `name`/`meta`/`results`/`metrics`) so
+//! before/after runs can be diffed mechanically:
 //!
 //! ```text
 //! cargo run --release -p lsi-bench --bin perf_kernels           # full sizes
@@ -20,8 +19,8 @@
 //! `--pool` switches to the thread-pool snapshot used to populate
 //! BENCH_pool.json: pooled dispatch latency vs the scoped-spawn cost it
 //! replaced, the nnz-balanced SpMV speedup on a Zipf-skewed matrix, and
-//! the Lanczos k = 50 wall time (comparable to `lanczos_k50_secs` in
-//! BENCH_kernels.json). Combines with `--quick` for a smoke run.
+//! the Lanczos k = 50 wall time (measured as `lanczos_k50_secs` is).
+//! Combines with `--quick` for a smoke run.
 //!
 //! `--index` measures the cluster-pruned retrieval curve on a
 //! 10x-inflated copy of the kernels corpus: the nprobe sweep
@@ -52,12 +51,14 @@
 //! re-measures the key metrics at full size with observability
 //! *disarmed* (the production configuration), loads the `gate` section
 //! of BENCH_kernels.json, and fails (exit 1) with an itemized diff when
-//! any metric falls outside its tolerance band. A failing first pass
-//! gets one settle-and-retry (the gate runs right after the test
-//! suites, when the container's CPU budget is often drained); the
-//! direction-aware better of the two measurements stands. It also
-//! reports the armed-metrics and armed-tracing overhead on the batched
-//! query path (the numbers behind the DESIGN.md §3g overhead table).
+//! any metric falls outside its tolerance band; rows it shares with the
+//! default report are measured by the same functions, which every other
+//! mode runs armed. A failing first pass gets one settle-and-retry (the
+//! gate runs right after the test suites, when the container's CPU
+//! budget is often drained); the direction-aware better of the two
+//! measurements stands. It also reports the armed-metrics and
+//! armed-tracing overhead on the batched query path (the numbers behind
+//! the DESIGN.md §3g overhead table).
 //! `LSI_PERF_TOLERANCE=0.5` overrides every band, for slower machines.
 
 use std::time::Instant;
@@ -68,13 +69,14 @@ use lsi_corpora::{SyntheticCorpus, SyntheticOptions};
 use lsi_linalg::{ops, DenseMatrix};
 use lsi_obs::Json;
 use lsi_sparse::ops::DualFormat;
-use lsi_svd::{lanczos_svd, LanczosOptions, Reorth};
+use lsi_svd::{lanczos_svd, randomized_svd, LanczosOptions, RandomizedOptions, Reorth};
 use lsi_text::{ParsingRules, TermWeighting};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Problem sizes for one run; `--quick` selects the small set.
 struct Sizes {
+    quick: bool,
     gemm_square_small: usize,
     gemm_square_large: usize,
     gemm_tall: (usize, usize, usize),
@@ -88,47 +90,44 @@ struct Sizes {
 }
 
 impl Sizes {
-    fn full() -> Sizes {
-        Sizes {
-            gemm_square_small: 256,
-            gemm_square_large: 512,
-            // Tall-skinny shape typical of basis updates.
-            gemm_tall: (4500, 128, 128),
-            trec_scale: 20, // 4500 x 3500, TREC-shaped sparsity
-            lanczos_k: 50,
-            topics: 10,
-            docs_per_topic: 200,
-            model_k: 64,
-            time_reps: 3,
-            score_reps: 20,
-        }
-    }
-
-    fn quick() -> Sizes {
-        Sizes {
-            gemm_square_small: 96,
-            gemm_square_large: 128,
-            gemm_tall: (600, 48, 48),
-            // trec_like's scale is a divisor: larger scale = smaller matrix.
-            trec_scale: 200,
-            lanczos_k: 20,
-            topics: 4,
-            docs_per_topic: 30,
-            model_k: 16,
-            time_reps: 1,
-            score_reps: 2,
+    fn new(quick: bool) -> Sizes {
+        if quick {
+            Sizes {
+                quick,
+                gemm_square_small: 96,
+                gemm_square_large: 128,
+                gemm_tall: (600, 48, 48),
+                // trec_like's scale is a divisor: larger scale = smaller matrix.
+                trec_scale: 200,
+                lanczos_k: 20,
+                topics: 4,
+                docs_per_topic: 30,
+                model_k: 16,
+                time_reps: 1,
+                score_reps: 2,
+            }
+        } else {
+            Sizes {
+                quick,
+                gemm_square_small: 256,
+                gemm_square_large: 512,
+                // Tall-skinny shape typical of basis updates.
+                gemm_tall: (4500, 128, 128),
+                trec_scale: 20, // 4500 x 3500, TREC-shaped sparsity
+                lanczos_k: 50,
+                topics: 10,
+                docs_per_topic: 200,
+                model_k: 64,
+                time_reps: 3,
+                score_reps: 20,
+            }
         }
     }
 }
 
 fn random_matrix(m: usize, n: usize, rng: &mut StdRng) -> DenseMatrix {
-    let mut a = DenseMatrix::zeros(m, n);
-    for j in 0..n {
-        for i in 0..m {
-            a.set(i, j, rng.random::<f64>() - 0.5);
-        }
-    }
-    a
+    let data = (0..m * n).map(|_| rng.random::<f64>() - 0.5).collect();
+    DenseMatrix::from_col_major(m, n, data).expect("shape matches buffer")
 }
 
 /// Best-of-`reps` wall time for `f`, in seconds.
@@ -142,27 +141,66 @@ fn best_secs<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     best
 }
 
+/// GFLOP/s of `C = A B` (m x k times k x n), or of `C = Aᵀ B` with `A`
+/// stored k x m when `transposed`.
 fn gemm_gflops(m: usize, k: usize, n: usize, transposed: bool, reps: usize, rng: &mut StdRng) -> f64 {
-    let flops = 2.0 * m as f64 * k as f64 * n as f64;
-    if transposed {
-        // C = A^T B with A k-rows-first so shapes line up: A is k x m.
-        let a = random_matrix(k, m, rng);
-        let b = random_matrix(k, n, rng);
-        let secs = best_secs(reps, || {
-            std::hint::black_box(ops::matmul_tn(&a, &b).expect("gemm_tn"));
-        });
-        flops / secs / 1e9
-    } else {
-        let a = random_matrix(m, k, rng);
-        let b = random_matrix(k, n, rng);
-        let secs = best_secs(reps, || {
-            std::hint::black_box(ops::matmul(&a, &b).expect("gemm"));
-        });
-        flops / secs / 1e9
-    }
+    let a = if transposed { random_matrix(k, m, rng) } else { random_matrix(m, k, rng) };
+    let b = random_matrix(k, n, rng);
+    let secs = best_secs(reps, || {
+        let c = if transposed { ops::matmul_tn(&a, &b) } else { ops::matmul(&a, &b) };
+        std::hint::black_box(c.expect("gemm"));
+    });
+    2.0 * m as f64 * k as f64 * n as f64 / secs / 1e9
 }
 
-fn query_model(s: &Sizes) -> (LsiModel, Vec<String>) {
+/// The TREC-shaped matrix every Lanczos row runs on, with its shape
+/// for the report's `corpus` meta.
+fn lanczos_matrix(s: &Sizes) -> (DualFormat, String) {
+    let matrix = trec_like(s.trec_scale, 7);
+    let shape = format!("trec_like({}) {}x{}", s.trec_scale, matrix.nrows(), matrix.ncols());
+    (DualFormat::from_csc(matrix), shape)
+}
+
+/// Best-of-`s.time_reps` Lanczos wall time at `s.lanczos_k` under
+/// `reorth`, and the steps the last run took.
+fn time_lanczos(s: &Sizes, dual: &DualFormat, reorth: Reorth) -> (f64, usize) {
+    let opts = LanczosOptions {
+        reorth,
+        ..Default::default()
+    };
+    let mut steps = 0usize;
+    let secs = best_secs(s.time_reps, || {
+        let (svd, report) = lanczos_svd(dual, s.lanczos_k, &opts).expect("lanczos runs");
+        steps = report.steps;
+        std::hint::black_box(svd);
+    });
+    (secs, steps)
+}
+
+/// DESIGN.md §4's SVD ablations on the `lanczos_k50_secs` matrix and
+/// rank: the randomized SVD with 2 and 0 power iterations, and Lanczos
+/// with periodic and with no reorthogonalization.
+fn svd_ablation_rows(s: &Sizes, dual: &DualFormat) -> [(&'static str, f64); 4] {
+    let randomized = |power_iters: usize| {
+        let opts = RandomizedOptions {
+            power_iters,
+            ..Default::default()
+        };
+        best_secs(s.time_reps, || {
+            let svd = randomized_svd(dual, s.lanczos_k, &opts).expect("randomized svd runs");
+            std::hint::black_box(svd);
+        })
+    };
+    [
+        ("randomized_q2_k50_secs", randomized(2)),
+        ("randomized_q0_k50_secs", randomized(0)),
+        ("lanczos_periodic4_k50_secs", time_lanczos(s, dual, Reorth::Periodic(4)).0),
+        ("lanczos_three_term_k50_secs", time_lanczos(s, dual, Reorth::ThreeTermOnly).0),
+    ]
+}
+
+/// The kernels-bench model, its query texts, and their projections.
+fn query_model(s: &Sizes) -> (LsiModel, Vec<String>, Vec<Vec<f64>>) {
     let gen = SyntheticCorpus::generate(&SyntheticOptions {
         n_topics: s.topics,
         docs_per_topic: s.docs_per_topic,
@@ -181,13 +219,140 @@ fn query_model(s: &Sizes) -> (LsiModel, Vec<String>) {
         svd_seed: 7,
     };
     let (model, _) = LsiModel::build(&gen.corpus, &options).expect("model builds");
-    let queries = gen.queries.iter().map(|q| q.text.clone()).collect();
-    (model, queries)
+    let queries: Vec<String> = gen.queries.iter().map(|q| q.text.clone()).collect();
+    let qhats = queries
+        .iter()
+        .map(|q| model.project_text(q).expect("projects"))
+        .collect();
+    (model, queries, qhats)
+}
+
+/// Batched scoring throughput in queries/sec: `rounds` passes of top-10
+/// ranking over the pre-projected queries, best of `reps`. This is the
+/// loop the precomputed-norm + top-k selection work targets, and every
+/// batched row (exact, pruned, compressed) is timed through it.
+fn batch_scoring_qps(model: &LsiModel, qhats: &[Vec<f64>], rounds: usize, reps: usize) -> f64 {
+    let secs = best_secs(reps, || {
+        for _ in 0..rounds {
+            for qhat in qhats {
+                std::hint::black_box(model.rank_projected_top(qhat, 10).expect("ranks"));
+            }
+        }
+    });
+    (rounds * qhats.len()) as f64 / secs
+}
+
+/// Each query's top 10 as `(doc, cosine bits)`, best first.
+fn top10(model: &LsiModel, qhats: &[Vec<f64>]) -> Vec<Vec<(usize, u64)>> {
+    qhats
+        .iter()
+        .map(|qhat| {
+            let ranked = model.rank_projected_top(qhat, 10).expect("ranks");
+            ranked.matches.iter().map(|m| (m.doc, m.cosine.to_bits())).collect()
+        })
+        .collect()
+}
+
+/// recall@10 of `model` against the exact oracle's top 10.
+fn recall_at_10(model: &LsiModel, qhats: &[Vec<f64>], oracles: &[Vec<(usize, u64)>]) -> f64 {
+    let mut hit = 0usize;
+    let mut total = 0usize;
+    for (top, oracle) in top10(model, qhats).iter().zip(oracles) {
+        hit += top.iter().filter(|(doc, _)| oracle.iter().any(|(d, _)| d == doc)).count();
+        total += oracle.len();
+    }
+    hit as f64 / total as f64
+}
+
+/// The query rows of the default report and the gate:
+/// `query_single_qps` (full text query, top 10 of the ranked list),
+/// `query_batch_scoring_qps` (after a warm-up pass, best of 7: its
+/// tight gate band must not trip on cold caches) and
+/// `query_multi_facet_qps` (all facets at once through the one-GEMM
+/// path).
+fn query_rows(
+    s: &Sizes,
+    model: &LsiModel,
+    queries: &[String],
+    qhats: &[Vec<f64>],
+) -> [(&'static str, f64); 3] {
+    let single_secs = best_secs(s.time_reps, || {
+        for q in queries {
+            std::hint::black_box(model.query(q).expect("query runs").top(10));
+        }
+    });
+    batch_scoring_qps(model, qhats, s.score_reps, 1); // warm-up pass
+    let batch_qps = batch_scoring_qps(model, qhats, s.score_reps, 7);
+    let mq = MultiQuery::from_vectors(model, qhats.to_vec()).expect("facets");
+    let multi_secs = best_secs(s.time_reps, || {
+        for _ in 0..s.score_reps {
+            std::hint::black_box(model.query_multi(&mq, Combine::Max).expect("multi").top(10));
+        }
+    });
+    [
+        ("query_single_qps", queries.len() as f64 / single_secs),
+        ("query_batch_scoring_qps", batch_qps),
+        ("query_multi_facet_qps", (s.score_reps * qhats.len()) as f64 / multi_secs),
+    ]
+}
+
+/// Print `report` with its wall time and the metrics snapshot.
+fn print_report(mut report: lsi_obs::RunReport, run_start: Instant) {
+    report = report.meta("wall_secs", Json::Num(run_start.elapsed().as_secs_f64()));
+    report.snapshot = lsi_obs::snapshot();
+    print!("{}", report.to_json().to_string_pretty());
+}
+
+/// Log each failed floor of a report; 1 when any failed, else 0.
+fn exit_code(report: &str, failures: &[String]) -> i32 {
+    for f in failures {
+        lsi_obs::error!("{report}: FAIL: {f}");
+    }
+    i32::from(!failures.is_empty())
+}
+
+/// The default report: GEMM, Lanczos and its SVD ablations, query
+/// scoring.
+fn kernels_report(s: &Sizes) {
+    let run_start = Instant::now();
+    let mut rng = StdRng::seed_from_u64(0xBEEF);
+    let mut rows: Vec<(&str, f64)> = Vec::new();
+    {
+        let _span = lsi_obs::span("bench.gemm");
+        let sq = s.gemm_square_small;
+        let lg = s.gemm_square_large;
+        let (tm, tk, tn) = s.gemm_tall;
+        rows.push(("gemm_nn_256_gflops", gemm_gflops(sq, sq, sq, false, 5, &mut rng)));
+        rows.push(("gemm_tn_256_gflops", gemm_gflops(sq, sq, sq, true, 5, &mut rng)));
+        rows.push(("gemm_nn_512_gflops", gemm_gflops(lg, lg, lg, false, 5, &mut rng)));
+        rows.push(("gemm_nn_tall_gflops", gemm_gflops(tm, tk, tn, false, 5, &mut rng)));
+    }
+    let (dual, corpus_shape) = lanczos_matrix(s);
+    {
+        let _span = lsi_obs::span("bench.lanczos");
+        let (secs, steps) = time_lanczos(s, &dual, Reorth::Full);
+        rows.push(("lanczos_k50_secs", secs));
+        rows.push(("lanczos_k50_steps", steps as f64));
+        rows.extend(svd_ablation_rows(s, &dual));
+    }
+    {
+        let _span = lsi_obs::span("bench.query");
+        let (model, queries, qhats) = query_model(s);
+        rows.extend(query_rows(s, &model, &queries, &qhats));
+    }
+    let mut report = lsi_obs::RunReport::new("perf_kernels")
+        .meta("k", Json::Num(s.lanczos_k as f64))
+        .meta("corpus", Json::Str(corpus_shape))
+        .meta("quick", Json::Bool(s.quick));
+    for (name, value) in rows {
+        report.result(name, Json::Num(value));
+    }
+    print_report(report, run_start);
 }
 
 /// The `--pool` report: dispatch latency, SpMV skew behavior, Lanczos
 /// wall time. Everything the pool acceptance criteria need in one JSON.
-fn pool_report(quick: bool) {
+fn pool_report(s: &Sizes) {
     use rayon::prelude::*;
 
     let run_start = Instant::now();
@@ -198,7 +363,7 @@ fn pool_report(quick: bool) {
     // empty parallel regions: all that remains is publish + wake +
     // chunk-claim + quiesce, i.e. pure dispatch.
     (0..threads * 4).into_par_iter().for_each(|_| {});
-    let reps = if quick { 200 } else { 2000 };
+    let reps = if s.quick { 200 } else { 2000 };
     let t0 = Instant::now();
     for _ in 0..reps {
         (0..threads * 4).into_par_iter().for_each(|_| {});
@@ -207,11 +372,11 @@ fn pool_report(quick: bool) {
 
     // The cost the pool replaced: one scoped OS-thread spawn + join per
     // parallel region (what the shim did before it had a pool).
-    let sreps = if quick { 10 } else { 50 };
+    let sreps = if s.quick { 10 } else { 50 };
     let t0 = Instant::now();
     for _ in 0..sreps {
-        std::thread::scope(|s| {
-            s.spawn(|| {});
+        std::thread::scope(|scope| {
+            scope.spawn(|| {});
         });
     }
     let spawn_dispatch_us = t0.elapsed().as_secs_f64() / sreps as f64 * 1e6;
@@ -222,7 +387,7 @@ fn pool_report(quick: bool) {
     // partitioning lopsided and motivated the nnz-balanced spans.
     // Both sizes must stay above PAR_NNZ_THRESHOLD or the "parallel"
     // column silently measures the serial fallback.
-    let (tm, tn, density) = if quick { (8000, 4000, 0.012) } else { (20000, 8000, 0.012) };
+    let (tm, tn, density) = if s.quick { (8000, 4000, 0.012) } else { (20000, 8000, 0.012) };
     let csc = lsi_sparse::gen::random_term_doc(
         tm,
         tn,
@@ -236,7 +401,7 @@ fn pool_report(quick: bool) {
     let mut rng = StdRng::seed_from_u64(0xFEED);
     let x: Vec<f64> = (0..tn).map(|_| rng.random::<f64>() - 0.5).collect();
     let mut y = vec![0.0; tm];
-    let mreps = if quick { 5 } else { 50 };
+    let mreps = if s.quick { 5 } else { 50 };
     let serial_secs = best_secs(mreps, || {
         csr.matvec_into(&x, &mut y);
         std::hint::black_box(&y);
@@ -246,29 +411,14 @@ fn pool_report(quick: bool) {
         std::hint::black_box(&y);
     });
 
-    // --- Lanczos wall time -------------------------------------------
-    // Same shape and options as the kernels bench, so lanczos_k50_secs
-    // is directly comparable to the PR 1 BENCH_kernels.json baseline.
-    let s = if quick { Sizes::quick() } else { Sizes::full() };
-    let matrix = trec_like(s.trec_scale, 7);
-    let corpus_shape = format!("trec_like({}) {}x{}", s.trec_scale, matrix.nrows(), matrix.ncols());
-    let dual = DualFormat::from_csc(matrix);
-    let opts = LanczosOptions {
-        reorth: Reorth::Full,
-        ..Default::default()
-    };
-    let mut steps = 0usize;
-    let lanczos_secs = best_secs(s.time_reps, || {
-        let (svd, report) = lanczos_svd(&dual, s.lanczos_k, &opts).expect("lanczos runs");
-        steps = report.steps;
-        std::hint::black_box(svd);
-    });
+    // --- Lanczos wall time: the kernels report's lanczos_k50_secs ----
+    let (dual, corpus_shape) = lanczos_matrix(s);
+    let (lanczos_secs, steps) = time_lanczos(s, &dual, Reorth::Full);
 
     let mut report = lsi_obs::RunReport::new("perf_pool")
-        .meta("quick", Json::Bool(quick))
+        .meta("quick", Json::Bool(s.quick))
         .meta("corpus", Json::Str(corpus_shape))
-        .meta("spmv_shape", Json::Str(format!("{tm}x{tn} zipf(1.1) nnz={nnz}")))
-        .meta("wall_secs", Json::Num(run_start.elapsed().as_secs_f64()));
+        .meta("spmv_shape", Json::Str(format!("{tm}x{tn} zipf(1.1) nnz={nnz}")));
     report.result("pool_threads", Json::Num(threads as f64));
     report.result("pool_dispatch_us", Json::Num(pool_dispatch_us));
     report.result("spawn_dispatch_us", Json::Num(spawn_dispatch_us));
@@ -277,45 +427,27 @@ fn pool_report(quick: bool) {
     report.result("spmv_skewed_speedup", Json::Num(serial_secs / par_secs));
     report.result("lanczos_k50_secs", Json::Num(lanczos_secs));
     report.result("lanczos_k50_steps", Json::Num(steps as f64));
-    report.snapshot = lsi_obs::snapshot();
-    print!("{}", report.to_json().to_string_pretty());
+    print_report(report, run_start);
 }
 
 /// The `--compressed` report: the precision ladder measured end to end
 /// through `rank_projected_top` on the kernels-bench corpus.
-fn compressed_report(quick: bool) {
+fn compressed_report(s: &Sizes) {
     use lsi_core::Precision;
 
-    let s = if quick { Sizes::quick() } else { Sizes::full() };
     let run_start = Instant::now();
-    let (model, queries) = query_model(&s);
-    let qhats: Vec<Vec<f64>> = queries
-        .iter()
-        .map(|q| model.project_text(q).expect("projects"))
-        .collect();
+    let (model, _, qhats) = query_model(s);
     let corpus_shape = format!(
         "synthetic {} docs x k={} ({} queries)",
         model.n_docs(),
         model.k(),
         qhats.len()
     );
-
     // Exact top-10 oracle, for the i8 recall measurement.
-    let oracles: Vec<Vec<usize>> = qhats
-        .iter()
-        .map(|qhat| {
-            model
-                .rank_projected_top(qhat, 10)
-                .expect("oracle ranks")
-                .matches
-                .iter()
-                .map(|m| m.doc)
-                .collect()
-        })
-        .collect();
+    let oracles = top10(&model, &qhats);
 
     let mut report = lsi_obs::RunReport::new("perf_compressed")
-        .meta("quick", Json::Bool(quick))
+        .meta("quick", Json::Bool(s.quick))
         .meta("corpus", Json::Str(corpus_shape));
     let mut qps_by_mode = [0.0f64; 3];
     for (mi, precision) in [Precision::Exact, Precision::F32, Precision::I8]
@@ -325,22 +457,14 @@ fn compressed_report(quick: bool) {
         let mut m = model.clone();
         m.set_precision(precision);
         let name = precision.name();
-        let fallbacks_before = lsi_obs::snapshot()
-            .counter("score.rerank.fallback.count")
-            .unwrap_or(0);
-        let secs = best_secs(s.time_reps, || {
-            for _ in 0..s.score_reps {
-                for qhat in &qhats {
-                    let ranked = m.rank_projected_top(qhat, 10).expect("ranks");
-                    std::hint::black_box(ranked);
-                }
-            }
-        });
-        let fallbacks = lsi_obs::snapshot()
-            .counter("score.rerank.fallback.count")
-            .unwrap_or(0)
-            - fallbacks_before;
-        let qps = (s.score_reps * qhats.len()) as f64 / secs;
+        let fallback_count = || {
+            lsi_obs::snapshot()
+                .counter("score.rerank.fallback.count")
+                .unwrap_or(0)
+        };
+        let fallbacks_before = fallback_count();
+        let qps = batch_scoring_qps(&m, &qhats, s.score_reps, s.time_reps);
+        let fallbacks = fallback_count() - fallbacks_before;
         qps_by_mode[mi] = qps;
         report.result(&format!("{name}_batch_scoring_qps"), Json::Num(qps));
         report.result(
@@ -351,26 +475,12 @@ fn compressed_report(quick: bool) {
             report.result(&format!("{name}_fallbacks"), Json::Num(fallbacks as f64));
         }
         if precision == Precision::I8 {
-            let mut hit = 0usize;
-            let mut total = 0usize;
-            for (qhat, oracle) in qhats.iter().zip(oracles.iter()) {
-                let approx = m.rank_projected_top(qhat, 10).expect("i8 ranks");
-                hit += approx
-                    .matches
-                    .iter()
-                    .filter(|hm| oracle.contains(&hm.doc))
-                    .count();
-                total += oracle.len();
-            }
-            report.result("i8_recall_at_10", Json::Num(hit as f64 / total as f64));
+            report.result("i8_recall_at_10", Json::Num(recall_at_10(&m, &qhats, &oracles)));
         }
     }
     report.result("f32_speedup_vs_f64", Json::Num(qps_by_mode[1] / qps_by_mode[0]));
     report.result("i8_speedup_vs_f64", Json::Num(qps_by_mode[2] / qps_by_mode[0]));
-    let report = report.meta("wall_secs", Json::Num(run_start.elapsed().as_secs_f64()));
-    let mut report = report;
-    report.snapshot = lsi_obs::snapshot();
-    print!("{}", report.to_json().to_string_pretty());
+    print_report(report, run_start);
 }
 
 /// The `--index` report: the cluster-pruned retrieval curve measured
@@ -385,16 +495,11 @@ fn compressed_report(quick: bool) {
 /// recall@10 at [`lsi_core::DEFAULT_NPROBE`] drops below 0.95 or the
 /// full-depth probe is not bit-identical — the CI floor for the
 /// pruning path. Populates the `index` section of BENCH_kernels.json.
-fn index_report(quick: bool) -> i32 {
+fn index_report(s: &Sizes) -> i32 {
     use lsi_core::{IndexPolicy, Precision, DEFAULT_NPROBE};
 
-    let s = if quick { Sizes::quick() } else { Sizes::full() };
     let run_start = Instant::now();
-    let (base, queries) = query_model(&s);
-    let qhats: Vec<Vec<f64>> = queries
-        .iter()
-        .map(|q| base.project_text(q).expect("projects"))
-        .collect();
+    let (base, _, qhats) = query_model(s);
 
     let inflate = 10usize;
     let mut model = base.clone();
@@ -403,38 +508,8 @@ fn index_report(quick: bool) -> i32 {
 
     // Exact-scan oracle (top-10 ids) and exact batched throughput on
     // the inflated corpus — the baseline every pruned row divides by.
-    let oracles: Vec<Vec<usize>> = qhats
-        .iter()
-        .map(|qhat| {
-            model
-                .rank_projected_top(qhat, 10)
-                .expect("oracle ranks")
-                .matches
-                .iter()
-                .map(|m| m.doc)
-                .collect()
-        })
-        .collect();
-    let batch_qps = |m: &LsiModel, reps: usize| {
-        let secs = best_secs(reps, || {
-            for qhat in &qhats {
-                let ranked = m.rank_projected_top(qhat, 10).expect("ranks");
-                std::hint::black_box(ranked);
-            }
-        });
-        qhats.len() as f64 / secs
-    };
-    let recall_at_10 = |m: &LsiModel| {
-        let mut hit = 0usize;
-        let mut total = 0usize;
-        for (qhat, oracle) in qhats.iter().zip(oracles.iter()) {
-            let ranked = m.rank_projected_top(qhat, 10).expect("pruned ranks");
-            hit += ranked.matches.iter().filter(|hm| oracle.contains(&hm.doc)).count();
-            total += oracle.len();
-        }
-        hit as f64 / total as f64
-    };
-    let exact_qps = batch_qps(&model, s.time_reps);
+    let oracles = top10(&model, &qhats);
+    let exact_qps = batch_scoring_qps(&model, &qhats, 1, s.time_reps);
 
     // One training pass; the sweep below only changes the probe depth,
     // which reuses the trained index.
@@ -446,7 +521,7 @@ fn index_report(quick: bool) -> i32 {
     let n_lists = model.index_n_lists().expect("index present");
 
     let mut report = lsi_obs::RunReport::new("perf_index")
-        .meta("quick", Json::Bool(quick))
+        .meta("quick", Json::Bool(s.quick))
         .meta(
             "corpus",
             Json::Str(format!(
@@ -471,8 +546,8 @@ fn index_report(quick: bool) -> i32 {
             continue;
         }
         model.set_index_policy(IndexPolicy::Pruned { nprobe: p }).expect("depth change");
-        let qps = batch_qps(&model, s.time_reps);
-        let recall = recall_at_10(&model);
+        let qps = batch_scoring_qps(&model, &qhats, 1, s.time_reps);
+        let recall = recall_at_10(&model, &qhats, &oracles);
         report.result(&format!("nprobe{p}_batch_scoring_qps"), Json::Num(qps));
         report.result(&format!("nprobe{p}_recall_at_10"), Json::Num(recall));
         report.result(&format!("nprobe{p}_speedup_vs_exact"), Json::Num(qps / exact_qps));
@@ -482,8 +557,8 @@ fn index_report(quick: bool) -> i32 {
     model
         .set_index_policy(IndexPolicy::Pruned { nprobe: DEFAULT_NPROBE })
         .expect("depth change");
-    let default_qps = batch_qps(&model, s.time_reps);
-    let default_recall = recall_at_10(&model);
+    let default_qps = batch_scoring_qps(&model, &qhats, 1, s.time_reps);
+    let default_recall = recall_at_10(&model, &qhats, &oracles);
     let default_speedup = default_qps / exact_qps;
     report.result("pruned_batch_scoring_qps", Json::Num(default_qps));
     report.result("pruned_recall_at_10", Json::Num(default_recall));
@@ -499,8 +574,9 @@ fn index_report(quick: bool) -> i32 {
     {
         let mut m32 = model.clone();
         m32.set_precision(Precision::F32);
-        report.result("pruned_f32_batch_scoring_qps", Json::Num(batch_qps(&m32, s.time_reps)));
-        report.result("pruned_f32_recall_at_10", Json::Num(recall_at_10(&m32)));
+        let qps = batch_scoring_qps(&m32, &qhats, 1, s.time_reps);
+        report.result("pruned_f32_batch_scoring_qps", Json::Num(qps));
+        report.result("pruned_f32_recall_at_10", Json::Num(recall_at_10(&m32, &qhats, &oracles)));
     }
 
     // --- Bit-identity at full probe depth ----------------------------
@@ -511,17 +587,7 @@ fn index_report(quick: bool) -> i32 {
         .expect("depth change");
     let mut exact_policy = model.clone();
     exact_policy.set_index_policy(IndexPolicy::Exact).expect("exact policy");
-    let mut identical = true;
-    for qhat in &qhats {
-        let want = exact_policy.rank_projected_top(qhat, 10).expect("exact ranks");
-        let got = model.rank_projected_top(qhat, 10).expect("full-depth ranks");
-        identical &= want.matches.len() == got.matches.len()
-            && want
-                .matches
-                .iter()
-                .zip(got.matches.iter())
-                .all(|(a, b)| a.doc == b.doc && a.cosine.to_bits() == b.cosine.to_bits());
-    }
+    let identical = top10(&exact_policy, &qhats) == top10(&model, &qhats);
     report.result("full_depth_bit_identical", Json::Num(identical as u64 as f64));
     if !identical {
         failures.push("nprobe = n_lists is not bit-identical to the exact scan".to_string());
@@ -533,24 +599,16 @@ fn index_report(quick: bool) -> i32 {
     for &factor in &[1usize, 10, 100] {
         let mut m = base.clone();
         m.replicate_docs_for_bench(factor).expect("inflates");
-        let exact = batch_qps(&m, 1);
+        let exact = batch_scoring_qps(&m, &qhats, 1, 1);
         m.set_index_policy(IndexPolicy::Pruned { nprobe: DEFAULT_NPROBE })
             .expect("index trains");
-        let pruned = batch_qps(&m, 1);
+        let pruned = batch_scoring_qps(&m, &qhats, 1, 1);
         report.result(&format!("scale{factor}x_exact_query_us"), Json::Num(1e6 / exact));
         report.result(&format!("scale{factor}x_pruned_query_us"), Json::Num(1e6 / pruned));
     }
 
-    let mut report = report.meta("wall_secs", Json::Num(run_start.elapsed().as_secs_f64()));
-    report.snapshot = lsi_obs::snapshot();
-    print!("{}", report.to_json().to_string_pretty());
-    if !failures.is_empty() {
-        for f in &failures {
-            lsi_obs::error!("perf-index: FAIL: {f}");
-        }
-        return 1;
-    }
-    0
+    print_report(report, run_start);
+    exit_code("perf-index", &failures)
 }
 
 // --- The `--serve` load generator ------------------------------------
@@ -583,10 +641,6 @@ fn percentile(sorted_us: &[f64], p: f64) -> f64 {
     sorted_us[idx]
 }
 
-fn find_blank_line(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
-}
-
 /// Read one HTTP/1.1 response off a keep-alive stream. `carry` holds
 /// bytes of the next response read past this one. Returns
 /// `(status, server_will_close)`.
@@ -596,15 +650,21 @@ fn read_one_response(
 ) -> std::io::Result<(u16, bool)> {
     use std::io::Read as _;
     let mut chunk = [0u8; 4096];
-    let head_end = loop {
-        if let Some(end) = find_blank_line(carry) {
-            break end;
-        }
+    // Append the next read to `carry`; end of stream mid-response is an
+    // error.
+    let mut fill = |carry: &mut Vec<u8>| -> std::io::Result<()> {
         let n = stream.read(&mut chunk)?;
         if n == 0 {
             return Err(std::io::ErrorKind::UnexpectedEof.into());
         }
         carry.extend_from_slice(&chunk[..n]);
+        Ok(())
+    };
+    let head_end = loop {
+        if let Some(p) = carry.windows(4).position(|w| w == b"\r\n\r\n") {
+            break p + 4;
+        }
+        fill(carry)?;
     };
     let head = String::from_utf8_lossy(&carry[..head_end]).into_owned();
     let status: u16 = head
@@ -628,11 +688,7 @@ fn read_one_response(
     }
     let total = head_end + content_len;
     while carry.len() < total {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(std::io::ErrorKind::UnexpectedEof.into());
-        }
-        carry.extend_from_slice(&chunk[..n]);
+        fill(carry)?;
     }
     carry.drain(..total);
     Ok((status, close))
@@ -752,8 +808,8 @@ fn query_paths(queries: &[String]) -> Vec<String> {
 /// under load. Exits nonzero (full size only) when batching buys less
 /// than 2x, when the bounded queue never sheds, or when a drain drops
 /// an in-flight request. Populates BENCH_serve.json.
-fn serve_report(quick: bool) -> i32 {
-    let mut s = if quick { Sizes::quick() } else { Sizes::full() };
+fn serve_report(mut s: Sizes) -> i32 {
+    let quick = s.quick;
     // Serving-sized factor space: retrieval-quality LSI runs at
     // k ~ 100+ (the paper's operating range), where the per-query GEMV
     // re-reads k doc-store columns per request and the coalesced GEMM's
@@ -763,7 +819,7 @@ fn serve_report(quick: bool) -> i32 {
         s.model_k = 128;
     }
     let run_start = Instant::now();
-    let (base, queries) = query_model(&s);
+    let (base, queries, _) = query_model(&s);
     // Inflation makes the document sweep memory-bound, the regime
     // batching targets: the coalesced GEMM reads the doc store once
     // per batch where the sequential daemon re-reads it per query.
@@ -794,11 +850,8 @@ fn serve_report(quick: bool) -> i32 {
     // Shed phase: a scoring queue far smaller than the in-flight load.
     // The server must answer 503 past the bound, never queue unboundedly.
     let shed_cfg = lsi_serve::ServeConfig {
-        threads: clients,
-        max_batch: 1,
         queue_depth: 2,
-        degrade: false,
-        ..lsi_serve::ServeConfig::default()
+        ..flat_cfg(1)
     };
     let shed_phase = serve_phase(model.clone(), shed_cfg, clients, per_client.min(25), &paths);
     let shed_answered = shed_phase.ok + shed_phase.shed + shed_phase.timeout;
@@ -832,18 +885,13 @@ fn serve_report(quick: bool) -> i32 {
         stop.store(true, Ordering::Relaxed);
         let report = handle.join().expect("drain server thread");
         lsi_fault::clear();
-        let mut ok = 0u64;
-        let mut lost = 0u64;
-        for join in joins {
-            for (code, _) in join.join().expect("drain client") {
-                if code == 200 {
-                    ok += 1;
-                } else {
-                    lost += 1;
-                }
-            }
-        }
-        (ok, lost, report)
+        let codes: Vec<u16> = joins
+            .into_iter()
+            .flat_map(|join| join.join().expect("drain client"))
+            .map(|(code, _)| code)
+            .collect();
+        let ok = codes.iter().filter(|&&code| code == 200).count() as u64;
+        (ok, codes.len() as u64 - ok, report)
     };
     let (drain_ok, drain_lost, drain_server_report) = drain;
 
@@ -885,37 +933,20 @@ fn serve_report(quick: bool) -> i32 {
         report.result(&format!("{phase}_dropped"), Json::Num(out.dropped as f64));
         report.result(&format!("{phase}_wall_secs"), Json::Num(out.wall_secs));
     }
-    let max_batch_seen = batched
-        .report
-        .to_json()
-        .get("results")
-        .and_then(|r| r.get("max_batch_seen"))
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0);
-    report.result("batched_max_batch_seen", Json::Num(max_batch_seen));
+    let server_result = |server: &lsi_obs::RunReport, key: &str| {
+        let value = server.results.iter().find(|(k, _)| k == key).and_then(|(_, v)| v.as_f64());
+        Json::Num(value.unwrap_or(0.0))
+    };
+    report.result("batched_max_batch_seen", server_result(&batched.report, "max_batch_seen"));
     report.result("shed_phase_qps", Json::Num(shed_phase.qps));
     report.result("shed_count", Json::Num(shed_phase.shed as f64));
     report.result("shed_rate", Json::Num(shed_rate));
     report.result("shed_timeouts", Json::Num(shed_phase.timeout as f64));
     report.result("drain_inflight_ok", Json::Num(drain_ok as f64));
     report.result("drain_inflight_lost", Json::Num(drain_lost as f64));
-    let drain_queries = drain_server_report
-        .to_json()
-        .get("results")
-        .and_then(|r| r.get("queries"))
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0);
-    report.result("drain_server_queries", Json::Num(drain_queries));
-    let mut report = report.meta("wall_secs", Json::Num(run_start.elapsed().as_secs_f64()));
-    report.snapshot = lsi_obs::snapshot();
-    print!("{}", report.to_json().to_string_pretty());
-    if !failures.is_empty() {
-        for f in &failures {
-            lsi_obs::error!("perf-serve: FAIL: {f}");
-        }
-        return 1;
-    }
-    0
+    report.result("drain_server_queries", server_result(&drain_server_report, "queries"));
+    print_report(report, run_start);
+    exit_code("perf-serve", &failures)
 }
 
 /// One row of the gate comparison table.
@@ -948,20 +979,56 @@ impl GateRow {
     }
 }
 
-/// Walk up from the current directory to find BENCH_kernels.json (the
-/// gate runs from the repo root under verify.sh, but also from crate
-/// subdirectories during development).
-fn find_bench_json() -> Option<std::path::PathBuf> {
-    let mut dir = std::env::current_dir().ok()?;
-    loop {
+/// The committed `gate.metrics` bands as rows awaiting a measurement,
+/// from the BENCH_kernels.json found walking up from the current
+/// directory (the gate runs from the repo root under verify.sh, but
+/// also from crate subdirectories during development).
+/// `LSI_PERF_TOLERANCE` widens (or tightens) every band at once — the
+/// escape hatch for machines slower than the one that recorded the
+/// baselines. Committed per-metric tolerances otherwise apply.
+fn gate_bands() -> Result<(std::path::PathBuf, Vec<GateRow>), String> {
+    let mut dir = std::env::current_dir().map_err(|e| e.to_string())?;
+    let path = loop {
         let candidate = dir.join("BENCH_kernels.json");
         if candidate.is_file() {
-            return Some(candidate);
+            break candidate;
         }
         if !dir.pop() {
-            return None;
+            return Err("BENCH_kernels.json not found walking up from the current directory".into());
         }
-    }
+    };
+    let text = std::fs::read_to_string(&path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let bench = lsi_obs::parse_json(&text)
+        .map_err(|e| format!("{} is not valid JSON: {e}", path.display()))?;
+    let Some(Json::Obj(metrics)) = bench.get("gate").and_then(|gate| gate.get("metrics")) else {
+        return Err(format!("{} has no \"gate\" section with a \"metrics\" object", path.display()));
+    };
+    let tolerance_override = std::env::var("LSI_PERF_TOLERANCE")
+        .ok()
+        .and_then(|v| v.parse::<f64>().ok());
+    let rows = metrics
+        .iter()
+        .map(|(name, spec)| {
+            let (Some(baseline), Some(direction)) = (
+                spec.get("baseline").and_then(Json::as_f64),
+                spec.get("direction").and_then(Json::as_str),
+            ) else {
+                return Err(format!("gate metric {name} needs \"baseline\" and \"direction\""));
+            };
+            let tolerance = tolerance_override
+                .or_else(|| spec.get("tolerance").and_then(Json::as_f64))
+                .unwrap_or(0.25);
+            Ok(GateRow {
+                name: name.clone(),
+                baseline,
+                measured: f64::NAN,
+                higher_is_better: direction == "higher",
+                tolerance,
+            })
+        })
+        .collect::<Result<_, String>>()?;
+    Ok((path, rows))
 }
 
 /// The `--gate` mode: measure fresh, compare against the committed
@@ -976,53 +1043,15 @@ fn gate_measure(s: &Sizes) -> (Vec<(&'static str, f64)>, [f64; 3]) {
     assert!(!lsi_obs::enabled(), "gate must measure the disarmed path");
     let mut rng = StdRng::seed_from_u64(0xBEEF);
     let sq = s.gemm_square_small;
-    let gemm_nn_small = gemm_gflops(sq, sq, sq, false, 5, &mut rng);
+    let mut rows = vec![("gemm_nn_256_gflops", gemm_gflops(sq, sq, sq, false, 5, &mut rng))];
+    let (dual, _) = lanczos_matrix(s);
+    rows.push(("lanczos_k50_secs", time_lanczos(s, &dual, Reorth::Full).0));
+    drop(dual);
 
-    let matrix = trec_like(s.trec_scale, 7);
-    let dual = DualFormat::from_csc(matrix);
-    let opts = LanczosOptions {
-        reorth: Reorth::Full,
-        ..Default::default()
-    };
-    let lanczos_secs = best_secs(s.time_reps, || {
-        let (svd, _) = lanczos_svd(&dual, s.lanczos_k, &opts).expect("lanczos runs");
-        std::hint::black_box(svd);
-    });
-
-    let (model, queries) = query_model(s);
-    let qhats: Vec<Vec<f64>> = queries
-        .iter()
-        .map(|q| model.project_text(q).expect("projects"))
-        .collect();
-    let single_secs = best_secs(s.time_reps, || {
-        for q in &queries {
-            let ranked = model.query(q).expect("query runs");
-            std::hint::black_box(ranked.top(10));
-        }
-    });
-    let single_qps = queries.len() as f64 / single_secs;
-    let batch = |reps: usize| {
-        let secs = best_secs(reps, || {
-            for _ in 0..s.score_reps {
-                for qhat in &qhats {
-                    let ranked = model.rank_projected_top(qhat, 10).expect("ranks");
-                    std::hint::black_box(ranked);
-                }
-            }
-        });
-        (s.score_reps * qhats.len()) as f64 / secs
-    };
-    // Warm-up pass: the tight 2% band must not trip on cold caches.
-    let _ = batch(1);
-    let batch_qps = batch(7);
-    let mq = MultiQuery::from_vectors(&model, qhats.clone()).expect("facets");
-    let multi_secs = best_secs(s.time_reps, || {
-        for _ in 0..s.score_reps {
-            let ranked = model.query_multi(&mq, Combine::Max).expect("multi");
-            std::hint::black_box(ranked.top(10));
-        }
-    });
-    let multi_qps = (s.score_reps * qhats.len()) as f64 / multi_secs;
+    let (model, queries, qhats) = query_model(s);
+    let query = query_rows(s, &model, &queries, &qhats);
+    let batch_qps = query[1].1;
+    rows.extend(query);
 
     // Pruned batched scoring at the default probe depth on the
     // 10x-inflated corpus — the gated operating point of the cluster
@@ -1032,15 +1061,11 @@ fn gate_measure(s: &Sizes) -> (Vec<(&'static str, f64)>, [f64; 3]) {
     inflated
         .set_index_policy(lsi_core::IndexPolicy::Pruned { nprobe: lsi_core::DEFAULT_NPROBE })
         .expect("index trains");
-    let pruned_secs = best_secs(s.time_reps, || {
-        for _ in 0..s.score_reps {
-            for qhat in &qhats {
-                let ranked = inflated.rank_projected_top(qhat, 10).expect("pruned ranks");
-                std::hint::black_box(ranked);
-            }
-        }
-    });
-    let pruned_qps = (s.score_reps * qhats.len()) as f64 / pruned_secs;
+    rows.push((
+        "query_pruned_batch_qps",
+        batch_scoring_qps(&inflated, &qhats, s.score_reps, s.time_reps),
+    ));
+    drop(inflated);
 
     // Coalesced pairs on the same 10x-inflated corpus under the exact
     // policy: two queries per `query_top_batch` call, the narrow batch
@@ -1059,26 +1084,31 @@ fn gate_measure(s: &Sizes) -> (Vec<(&'static str, f64)>, [f64; 3]) {
             }
         }
     });
-    let pair_qps = queries.len() as f64 / pair_secs;
+    rows.push(("query_pair_batch_qps", queries.len() as f64 / pair_secs));
 
     // Save and load of the same 10x-inflated exact model (20,000 docs,
     // k = 64, ~33 MB of JSON): the database codec end to end, body,
     // `#lsi1` trailer and checksum included, and the cold-start row of
     // ROADMAP item 4.
     let mut saved = String::new();
-    let save_secs = best_secs(s.time_reps, || {
-        saved = serve_model.to_json().expect("model saves");
-    });
-    let load_secs = best_secs(s.time_reps, || {
-        std::hint::black_box(LsiModel::from_json(&saved).expect("model loads"));
-    });
+    rows.push((
+        "model_save_secs",
+        best_secs(s.time_reps, || {
+            saved = serve_model.to_json().expect("model saves");
+        }),
+    ));
+    rows.push((
+        "model_load_secs",
+        best_secs(s.time_reps, || {
+            std::hint::black_box(LsiModel::from_json(&saved).expect("model loads"));
+        }),
+    ));
     drop(saved);
 
     // Batched serving throughput end to end through the daemon: real
     // loopback sockets, coalesced scoring, same 10x-inflated corpus as
     // the pruned row. Gates the serve path's whole stack (HTTP parse,
     // queue handoff, batch sweep, response write).
-    let serve_paths = query_paths(&queries);
     let serve_out = serve_phase(
         serve_model,
         lsi_serve::ServeConfig {
@@ -1089,9 +1119,9 @@ fn gate_measure(s: &Sizes) -> (Vec<(&'static str, f64)>, [f64; 3]) {
         },
         8,
         40,
-        &serve_paths,
+        &query_paths(&queries),
     );
-    let serve_qps = serve_out.qps;
+    rows.push(("serve_batch_qps", serve_out.qps));
 
     // Full-workspace static analysis (lexer + per-file rules + call
     // graph + interprocedural rules): caps the wall time of the
@@ -1099,86 +1129,58 @@ fn gate_measure(s: &Sizes) -> (Vec<(&'static str, f64)>, [f64; 3]) {
     // the lint gate into the slowest part of the pipeline.
     let analysis_root =
         lsi_analyze::find_workspace_root(None).expect("workspace root for analysis gate");
-    let analysis_secs = best_secs(3, || {
-        let analysis = lsi_analyze::analyze(&analysis_root).expect("analysis runs");
-        std::hint::black_box(analysis.findings.len());
-    });
+    rows.push((
+        "analysis_full_secs",
+        best_secs(3, || {
+            let analysis = lsi_analyze::analyze(&analysis_root).expect("analysis runs");
+            std::hint::black_box(analysis.findings.len());
+        }),
+    ));
 
     // --- Instrumentation overhead on the same batched loop -----------
     // Armed metrics (spans + counters + allocation attribution), then
     // armed metrics + trace buffer. Reported, not gated: the gated
     // guarantee is that the *disarmed* path stays fast.
     lsi_obs::set_enabled(true);
-    let batch_qps_metrics = batch(3);
+    let batch_qps_metrics = batch_scoring_qps(&model, &qhats, s.score_reps, 3);
     lsi_obs::set_trace_enabled(true);
     lsi_obs::register_thread("main");
-    let batch_qps_trace = batch(3);
+    let batch_qps_trace = batch_scoring_qps(&model, &qhats, s.score_reps, 3);
     lsi_obs::set_trace_enabled(false);
     lsi_obs::set_enabled(false);
     lsi_obs::reset_trace();
 
-    (
-        vec![
-            ("gemm_nn_256_gflops", gemm_nn_small),
-            ("lanczos_k50_secs", lanczos_secs),
-            ("query_single_qps", single_qps),
-            ("query_batch_scoring_qps", batch_qps),
-            ("query_multi_facet_qps", multi_qps),
-            ("query_pruned_batch_qps", pruned_qps),
-            ("query_pair_batch_qps", pair_qps),
-            ("serve_batch_qps", serve_qps),
-            ("model_save_secs", save_secs),
-            ("model_load_secs", load_secs),
-            ("analysis_full_secs", analysis_secs),
-        ],
-        [batch_qps, batch_qps_metrics, batch_qps_trace],
-    )
+    (rows, [batch_qps, batch_qps_metrics, batch_qps_trace])
 }
 
 fn gate_report() -> i32 {
-    let s = Sizes::full();
+    let s = Sizes::new(false);
     let run_start = Instant::now();
 
     // Load the committed bands first so a malformed file fails fast,
     // before a minute of measurement.
-    let Some(bench_path) = find_bench_json() else {
-        lsi_obs::error!("perf-gate: BENCH_kernels.json not found walking up from the current directory");
-        return 2;
-    };
-    let text = match std::fs::read_to_string(&bench_path) {
-        Ok(t) => t,
+    let (bench_path, mut rows) = match gate_bands() {
+        Ok(bands) => bands,
         Err(e) => {
-            lsi_obs::error!("perf-gate: cannot read {}: {e}", bench_path.display());
+            lsi_obs::error!("perf-gate: {e}");
             return 2;
         }
     };
-    let bench = match lsi_obs::parse_json(&text) {
-        Ok(j) => j,
-        Err(e) => {
-            lsi_obs::error!("perf-gate: {} is not valid JSON: {e}", bench_path.display());
-            return 2;
-        }
-    };
-    let Some(gate) = bench.get("gate") else {
-        lsi_obs::error!(
-            "perf-gate: {} has no \"gate\" section; nothing to compare against",
-            bench_path.display()
-        );
-        return 2;
-    };
-    let Some(Json::Obj(metrics)) = gate.get("metrics") else {
-        lsi_obs::error!("perf-gate: \"gate\" section has no \"metrics\" object");
-        return 2;
-    };
-    // LSI_PERF_TOLERANCE widens (or tightens) every band at once — the
-    // escape hatch for machines slower than the one that recorded the
-    // baselines. Committed per-metric tolerances otherwise apply.
-    let tolerance_override = std::env::var("LSI_PERF_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok());
 
     // --- Measure, observability disarmed -----------------------------
-    let (mut measured, mut overhead) = gate_measure(&s);
+    let (measured, mut overhead) = gate_measure(&s);
+    let mut unknown = 0;
+    rows.retain_mut(|row| match measured.iter().find(|(m, _)| *m == row.name) {
+        Some(&(_, value)) => {
+            row.measured = value;
+            true
+        }
+        None => {
+            lsi_obs::error!("perf-gate: gate metric {} is not one perf_kernels measures", row.name);
+            unknown += 1;
+            false
+        }
+    });
 
     // --- Compare ------------------------------------------------------
     // One settle-and-retry pass: the gate usually runs right after the
@@ -1187,57 +1189,18 @@ fn gate_report() -> i32 {
     // band gets one fresh measurement after a short settle, and the
     // direction-aware better of the two runs stands — window-level
     // throttling clears; a real regression fails both passes.
-    let build_rows = |measured: &[(&str, f64)]| -> Result<(Vec<GateRow>, usize), i32> {
-        let mut rows: Vec<GateRow> = Vec::new();
-        let mut unknown = 0;
-        for (name, spec) in metrics {
-            let (Some(baseline), Some(direction)) = (
-                spec.get("baseline").and_then(Json::as_f64),
-                spec.get("direction").and_then(Json::as_str),
-            ) else {
-                lsi_obs::error!("perf-gate: gate metric {name} needs \"baseline\" and \"direction\"");
-                return Err(2);
-            };
-            let tolerance = tolerance_override
-                .or_else(|| spec.get("tolerance").and_then(Json::as_f64))
-                .unwrap_or(0.25);
-            let Some(&(_, value)) = measured.iter().find(|(m, _)| *m == name.as_str()) else {
-                lsi_obs::error!("perf-gate: gate metric {name} is not one perf_kernels measures");
-                unknown += 1;
-                continue;
-            };
-            rows.push(GateRow {
-                name: name.clone(),
-                baseline,
-                measured: value,
-                higher_is_better: direction == "higher",
-                tolerance,
-            });
-        }
-        Ok((rows, unknown))
-    };
-    let (mut rows, unknown) = match build_rows(&measured) {
-        Ok(v) => v,
-        Err(code) => return code,
-    };
     if rows.iter().any(|r| !r.passes()) {
         lsi_obs::warn!("perf-gate: metric(s) outside tolerance; settling and re-measuring once");
         std::thread::sleep(std::time::Duration::from_secs(3));
         let (remeasured, reoverhead) = gate_measure(&s);
-        for (slot, &(_, fresh)) in measured.iter_mut().zip(&remeasured) {
-            let higher = rows
-                .iter()
-                .find(|r| r.name == slot.0)
-                .map_or(true, |r| r.higher_is_better);
-            if (fresh > slot.1) == higher {
-                slot.1 = fresh;
+        for row in &mut rows {
+            if let Some(&(_, fresh)) = remeasured.iter().find(|(m, _)| *m == row.name) {
+                if (fresh > row.measured) == row.higher_is_better {
+                    row.measured = fresh;
+                }
             }
         }
         overhead = reoverhead;
-        (rows, _) = match build_rows(&measured) {
-            Ok(v) => v,
-            Err(code) => return code,
-        };
     }
     let [batch_qps, batch_qps_metrics, batch_qps_trace] = overhead;
 
@@ -1285,132 +1248,23 @@ fn gate_report() -> i32 {
 }
 
 fn main() {
-    let quick = std::env::args().skip(1).any(|a| a == "--quick");
-    if std::env::args().skip(1).any(|a| a == "--gate") {
-        std::process::exit(gate_report());
-    }
-    if std::env::args().skip(1).any(|a| a == "--pool") {
-        if std::env::var_os("LSI_NO_OBS").is_none() {
-            lsi_obs::set_enabled(true);
-        }
-        pool_report(quick);
-        return;
-    }
-    if std::env::args().skip(1).any(|a| a == "--index") {
-        if std::env::var_os("LSI_NO_OBS").is_none() {
-            lsi_obs::set_enabled(true);
-        }
-        std::process::exit(index_report(quick));
-    }
-    if std::env::args().skip(1).any(|a| a == "--serve") {
-        if std::env::var_os("LSI_NO_OBS").is_none() {
-            lsi_obs::set_enabled(true);
-        }
-        std::process::exit(serve_report(quick));
-    }
-    if std::env::args().skip(1).any(|a| a == "--compressed") {
-        if std::env::var_os("LSI_NO_OBS").is_none() {
-            lsi_obs::set_enabled(true);
-        }
-        compressed_report(quick);
-        return;
-    }
-    let s = if quick { Sizes::quick() } else { Sizes::full() };
-    // LSI_NO_OBS=1 measures the uninstrumented baseline (the metrics
-    // section of the report then comes out empty).
-    if std::env::var_os("LSI_NO_OBS").is_none() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let has = |flag: &str| args.iter().any(|a| a == flag);
+    let mode = ["--gate", "--pool", "--index", "--serve", "--compressed"]
+        .into_iter()
+        .find(|&m| has(m));
+    // The gate measures the production configuration, lsi-obs
+    // disarmed; every other report carries the metrics snapshot.
+    if mode != Some("--gate") {
         lsi_obs::set_enabled(true);
     }
-    let mut rng = StdRng::seed_from_u64(0xBEEF);
-    let run_start = Instant::now();
-
-    // --- Dense GEMM throughput -------------------------------------
-    let (gemm_nn_small, gemm_tn_small, gemm_nn_large, gemm_nn_tall) = {
-        let _span = lsi_obs::span("bench.gemm");
-        let sq = s.gemm_square_small;
-        let lg = s.gemm_square_large;
-        let (tm, tk, tn) = s.gemm_tall;
-        (
-            gemm_gflops(sq, sq, sq, false, 5, &mut rng),
-            gemm_gflops(sq, sq, sq, true, 5, &mut rng),
-            gemm_gflops(lg, lg, lg, false, 5, &mut rng),
-            gemm_gflops(tm, tk, tn, false, 5, &mut rng),
-        )
-    };
-
-    // --- Lanczos, full reorthogonalization -------------------------
-    let matrix = trec_like(s.trec_scale, 7);
-    let corpus_shape = format!("trec_like({}) {}x{}", s.trec_scale, matrix.nrows(), matrix.ncols());
-    let dual = DualFormat::from_csc(matrix);
-    let opts = LanczosOptions {
-        reorth: Reorth::Full,
-        ..Default::default()
-    };
-    let mut steps = 0usize;
-    let lanczos_secs = {
-        let _span = lsi_obs::span("bench.lanczos");
-        best_secs(s.time_reps, || {
-            let (svd, report) = lanczos_svd(&dual, s.lanczos_k, &opts).expect("lanczos runs");
-            steps = report.steps;
-            std::hint::black_box(svd);
-        })
-    };
-
-    // --- Query scoring throughput ----------------------------------
-    let _query_span = lsi_obs::span("bench.query");
-    let (model, queries) = query_model(&s);
-    let qhats: Vec<Vec<f64>> = queries
-        .iter()
-        .map(|q| model.project_text(q).expect("projects"))
-        .collect();
-
-    // Single-query path: full text query, top 10 of a ranked list.
-    let single_secs = best_secs(s.time_reps, || {
-        for q in &queries {
-            let ranked = model.query(q).expect("query runs");
-            std::hint::black_box(ranked.top(10));
-        }
-    });
-    let single_qps = queries.len() as f64 / single_secs;
-
-    // Scoring-only path: pre-projected vectors ranked top-10. This is
-    // the loop the precomputed-norm + top-k selection work targets
-    // (rank_projected_top partitions instead of sorting the full list).
-    let score_secs = best_secs(s.time_reps, || {
-        for _ in 0..s.score_reps {
-            for qhat in &qhats {
-                let ranked = model.rank_projected_top(qhat, 10).expect("ranks");
-                std::hint::black_box(ranked);
-            }
-        }
-    });
-    let batch_qps = (s.score_reps * qhats.len()) as f64 / score_secs;
-
-    // Multi-facet query (all facets at once) for the one-GEMM path.
-    let mq = MultiQuery::from_vectors(&model, qhats.clone()).expect("facets");
-    let multi_secs = best_secs(s.time_reps, || {
-        for _ in 0..s.score_reps {
-            let ranked = model.query_multi(&mq, Combine::Max).expect("multi");
-            std::hint::black_box(ranked.top(10));
-        }
-    });
-    let multi_qps = (s.score_reps * qhats.len()) as f64 / multi_secs;
-    drop(_query_span);
-
-    let mut report = lsi_obs::RunReport::new("perf_kernels")
-        .meta("k", Json::Num(s.lanczos_k as f64))
-        .meta("corpus", Json::Str(corpus_shape))
-        .meta("quick", Json::Bool(quick))
-        .meta("wall_secs", Json::Num(run_start.elapsed().as_secs_f64()));
-    report.result("gemm_nn_256_gflops", Json::Num(gemm_nn_small));
-    report.result("gemm_tn_256_gflops", Json::Num(gemm_tn_small));
-    report.result("gemm_nn_512_gflops", Json::Num(gemm_nn_large));
-    report.result("gemm_nn_tall_gflops", Json::Num(gemm_nn_tall));
-    report.result("lanczos_k50_secs", Json::Num(lanczos_secs));
-    report.result("lanczos_k50_steps", Json::Num(steps as f64));
-    report.result("query_single_qps", Json::Num(single_qps));
-    report.result("query_batch_scoring_qps", Json::Num(batch_qps));
-    report.result("query_multi_facet_qps", Json::Num(multi_qps));
-    report.snapshot = lsi_obs::snapshot();
-    print!("{}", report.to_json().to_string_pretty());
+    let s = Sizes::new(has("--quick"));
+    match mode {
+        Some("--gate") => std::process::exit(gate_report()),
+        Some("--pool") => pool_report(&s),
+        Some("--index") => std::process::exit(index_report(&s)),
+        Some("--serve") => std::process::exit(serve_report(s)),
+        Some("--compressed") => compressed_report(&s),
+        _ => kernels_report(&s),
+    }
 }

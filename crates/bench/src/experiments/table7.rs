@@ -1,5 +1,6 @@
 //! Table 7: analytic flop counts plus measured wall-clock for the
-//! updating methods, swept over the update size.
+//! updating methods, swept over the update size, and for the Eq. 12
+//! weight correction, swept over the number of re-weighted terms.
 
 use std::time::Instant;
 
@@ -27,8 +28,21 @@ pub struct Table7Row {
     pub recompute_seconds: f64,
 }
 
-/// Build a base model and run the three methods for each update size.
-pub fn run(ps: &[usize], k: usize, seed: u64) -> Vec<Table7Row> {
+/// One row of the Eq. 12 weight-correction sweep.
+#[derive(Debug, Clone)]
+pub struct WeightRow {
+    /// Terms re-weighted.
+    pub j: usize,
+    /// Nonzero weight deltas over those terms.
+    pub nnz_z: usize,
+    /// Analytic flops: SVD-updating the weight correction.
+    pub flops: u64,
+    /// Measured seconds: SVD-updating the weight correction.
+    pub seconds: f64,
+}
+
+/// The base model every sweep updates, with its cost parameters.
+fn base_model(k: usize, seed: u64) -> (LsiModel, CostParams) {
     let gen = SyntheticCorpus::generate(&SyntheticOptions {
         n_topics: 8,
         docs_per_topic: 25,
@@ -50,6 +64,12 @@ pub fn run(ps: &[usize], k: usize, seed: u64) -> Vec<Table7Row> {
     let mut params = CostParams::with_defaults(base.n_terms(), base.n_docs(), base.k());
     params.lanczos_iters = report.steps;
     params.triplets = base.k();
+    (base, params)
+}
+
+/// Build a base model and run the three methods for each update size.
+pub fn run(ps: &[usize], k: usize, seed: u64) -> Vec<Table7Row> {
+    let (base, params) = base_model(k, seed);
 
     // New documents: re-generated from the same distribution.
     let extra = SyntheticCorpus::generate(&SyntheticOptions {
@@ -107,7 +127,33 @@ pub fn run(ps: &[usize], k: usize, seed: u64) -> Vec<Table7Row> {
     rows
 }
 
-/// Render Table 7.
+/// Build a base model and SVD-update a weight correction (Eq. 12) of
+/// `j` terms for each `j`: each of terms `0..j` gains 0.25 in every
+/// seventh document.
+pub fn run_weights(js: &[usize], k: usize, seed: u64) -> Vec<WeightRow> {
+    let (base, params) = base_model(k, seed);
+    let delta: Vec<f64> = (0..base.n_docs())
+        .map(|d| if d % 7 == 0 { 0.25 } else { 0.0 })
+        .collect();
+    let per_term = delta.iter().filter(|&&v| v != 0.0).count();
+    js.iter()
+        .map(|&j| {
+            let changes: Vec<(usize, Vec<f64>)> = (0..j).map(|t| (t, delta.clone())).collect();
+            let mut model = base.clone();
+            let t0 = Instant::now();
+            model.svd_update_weights(&changes).expect("weights");
+            WeightRow {
+                j,
+                nnz_z: j * per_term,
+                flops: params.svd_update_weights(j, j * per_term),
+                seconds: t0.elapsed().as_secs_f64(),
+            }
+        })
+        .collect()
+}
+
+/// Render Table 7, then the weight-correction sweep over `j = 1, 4,
+/// 16` re-weighted terms on the same base model.
 pub fn report(ps: &[usize], k: usize) -> String {
     let rows = run(ps, k, 808);
     let mut out = format!(
@@ -122,6 +168,14 @@ pub fn report(ps: &[usize], k: usize) -> String {
         ));
     }
     out.push_str("  (paper: folding-in 2mkp << SVD-updating << recomputing, for p << n)\n");
+    out.push_str("  Eq. 12 weight correction: j terms re-weighted, nnz(Z) deltas\n");
+    out.push_str("  j     nnz(Z)  update(flops) | update(s)\n");
+    for r in run_weights(&[1, 4, 16], k, 808) {
+        out.push_str(&format!(
+            "  {:<5} {:<7} {:<13} | {:.6}\n",
+            r.j, r.nnz_z, r.flops, r.seconds
+        ));
+    }
     out
 }
 
@@ -161,6 +215,17 @@ mod tests {
             assert!(r.fold_flops < r.update_flops);
             assert!(r.update_flops < r.recompute_flops);
         }
+    }
+
+    #[test]
+    fn weight_correction_cost_grows_with_j() {
+        let rows = run_weights(&[1, 4, 16], 12, 9);
+        assert_eq!(rows.iter().map(|r| r.j).collect::<Vec<_>>(), [1, 4, 16]);
+        for pair in rows.windows(2) {
+            assert!(pair[0].nnz_z < pair[1].nnz_z);
+            assert!(pair[0].flops < pair[1].flops);
+        }
+        assert!(rows.iter().all(|r| r.seconds > 0.0));
     }
 
     #[test]

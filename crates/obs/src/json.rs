@@ -378,36 +378,45 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Read a number.
+    /// Read a number: exactly RFC 8259's
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`, so `01`, `1.`,
+    /// `-.5` and `1e` are errors.
     pub fn number(&mut self) -> Result<f64, ParseError> {
         self.skip_ws();
         let start = self.pos;
         if self.byte() == Some(b'-') {
             self.pos += 1;
         }
-        self.digits();
-        if self.byte() == Some(b'.') {
+        // The integer part is `0` alone or digits not led by a `0`.
+        let int_start = self.pos;
+        let int = self.digits();
+        let mut ok = int == 1 || (int > 1 && self.bytes.get(int_start) != Some(&b'0'));
+        if ok && self.byte() == Some(b'.') {
             self.pos += 1;
-            self.digits();
+            ok = self.digits() > 0;
         }
-        if matches!(self.byte(), Some(b'e' | b'E')) {
+        if ok && matches!(self.byte(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.byte(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            self.digits();
+            ok = self.digits() > 0;
         }
         // The token is ASCII, so its ends are char boundaries.
         self.text
             .get(start..self.pos)
+            .filter(|_| ok)
             .and_then(|text| text.parse::<f64>().ok())
             .ok_or_else(|| self.err("invalid number"))
     }
 
-    fn digits(&mut self) {
+    /// Step over a run of ASCII digits; how many there were.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
         while matches!(self.byte(), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
+        self.pos - start
     }
 
     /// Read a string, borrowed from the input when it has no escapes.
@@ -508,6 +517,7 @@ impl<'a> Reader<'a> {
         Ok(c)
     }
 
+    /// The four hex digits of a `\u` escape.
     fn hex4(&mut self) -> Result<u32, ParseError> {
         if self.pos + 4 > self.bytes.len() {
             return Err(self.err("truncated \\u escape"));
@@ -515,6 +525,7 @@ impl<'a> Reader<'a> {
         let v = self
             .text
             .get(self.pos..self.pos + 4)
+            .filter(|s| s.bytes().all(|b| b.is_ascii_hexdigit()))
             .and_then(|s| u32::from_str_radix(s, 16).ok())
             .ok_or_else(|| self.err("invalid \\u escape"))?;
         self.pos += 4;
@@ -638,6 +649,29 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("true false").is_err());
         assert!(parse(r#""unterminated"#).is_err());
+    }
+
+    #[test]
+    fn numbers_follow_rfc_8259() {
+        for text in ["0", "-0", "0.5", "1e5", "1E-5", "-1.5e+3", "10", "-120.25e-0"] {
+            let want: f64 = text.parse().unwrap();
+            assert_eq!(parse(text).unwrap(), Json::Num(want), "{text}");
+            let got = Reader::new(text).number().unwrap();
+            assert_eq!(got.to_bits(), want.to_bits(), "{text} through the pull reader");
+        }
+        for text in ["01", "-01", "1.", "-.5", "1e", "1e+", "-", "00", "1.e5", ".5", "+1"] {
+            assert!(parse(text).is_err(), "{text} is not JSON");
+            assert!(parse(&format!("[{text}]")).is_err(), "[{text}] is not JSON");
+            assert!(Reader::new(&format!("[{text}]")).skip_value().is_err(), "skip [{text}]");
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u0041\u00e9""#).unwrap(), Json::Str("A\u{e9}".into()));
+        for text in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u04G1""#, r#""\u041""#] {
+            assert!(parse(text).is_err(), "{text} is not JSON");
+        }
     }
 
     #[test]

@@ -202,8 +202,9 @@ impl Histogram {
 
     /// The `q`-quantile (`q` in `[0, 1]`), reported as the upper bound
     /// of the bucket holding the rank-`ceil(q·count)` sample — i.e.
-    /// within one `GROWTH` factor above the exact order statistic.
-    /// Returns 0 for an empty histogram.
+    /// within one `GROWTH` factor above the exact order statistic —
+    /// and never above the largest recorded sample. Returns 0 for an
+    /// empty histogram.
     pub fn percentile(&self, q: f64) -> f64 {
         let n = self.count();
         if n == 0 {
@@ -211,13 +212,15 @@ impl Histogram {
         }
         let target = ((q * n as f64).ceil() as u64).clamp(1, n);
         let mut seen = 0u64;
+        let mut bucket = HIST_BUCKETS - 1;
         for (i, b) in self.buckets.iter().enumerate() {
             seen += b.load(Ordering::Relaxed);
             if seen >= target {
-                return bucket_upper_bound(i);
+                bucket = i;
+                break;
             }
         }
-        bucket_upper_bound(HIST_BUCKETS - 1)
+        bucket_upper_bound(bucket).min(self.max())
     }
 
     fn reset(&self) {

@@ -31,11 +31,13 @@ proptest! {
 
         // The histogram must land in exactly the bucket that holds the
         // oracle's order statistic, and report that bucket's upper
-        // bound — so the answer is within one GROWTH factor above the
-        // exact value.
+        // bound clamped to the largest sample — so the answer is within
+        // one GROWTH factor above the exact value and never above the
+        // observed max.
         let exact = oracle_percentile(&sorted, q);
         let reported = h.percentile(q);
-        prop_assert_eq!(reported, bucket_upper_bound(bucket_index(exact)));
+        prop_assert_eq!(reported, bucket_upper_bound(bucket_index(exact)).min(h.max()));
+        prop_assert!(reported <= h.max());
         prop_assert!(reported >= exact.min(1.0));
         prop_assert!(reported <= exact.max(1.0) * GROWTH * 1.0000001);
     }
@@ -80,4 +82,18 @@ proptest! {
         // Every value sits at or below its bucket's upper bound.
         prop_assert!(lo <= bucket_upper_bound(bucket_index(lo)) * 1.0000001);
     }
+}
+
+/// A percentile never reads above the largest sample: 24 batches of
+/// 24 queries once reported p99 = 26.9, the top of 24's bucket.
+#[test]
+fn percentile_is_clamped_to_the_observed_max() {
+    let h = Histogram::default();
+    for _ in 0..24 {
+        h.record(24.0);
+    }
+    assert!(bucket_upper_bound(bucket_index(24.0)) > 24.0);
+    assert_eq!(h.percentile(0.99), 24.0);
+    assert_eq!(h.percentile(0.5), 24.0);
+    assert_eq!(h.snapshot().p99, 24.0);
 }

@@ -18,7 +18,7 @@ pub(crate) const MAX_HEAD_BYTES: usize = 8 * 1024;
 
 /// Hard cap on a request body (POST /query JSON). Far above any
 /// realistic query payload, far below anything that could pressure
-/// memory across `accept_depth` concurrent connections.
+/// memory across `ACCEPT_DEPTH` concurrent connections.
 pub(crate) const MAX_BODY_BYTES: usize = 64 * 1024;
 
 /// Cap on header count, to bound the parsed-header Vec.

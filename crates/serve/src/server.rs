@@ -44,8 +44,6 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Scoring-queue bound; queries past it shed with 503.
     pub queue_depth: usize,
-    /// Accept→worker handoff bound; connections past it shed with 503.
-    pub accept_depth: usize,
     /// Max queries coalesced into one scoring batch.
     pub max_batch: usize,
     /// Deadline applied when a request names none.
@@ -54,12 +52,6 @@ pub struct ServeConfig {
     pub max_timeout_ms: u64,
     /// Cumulative idle budget while reading one request.
     pub read_timeout_ms: u64,
-    /// Socket write timeout.
-    pub write_timeout_ms: u64,
-    /// Result count when a request names none.
-    pub default_top: usize,
-    /// Requests served per connection before forcing a close.
-    pub keep_alive_max: usize,
     /// Whether the batcher walks the degradation ladder under load.
     pub degrade: bool,
 }
@@ -71,14 +63,10 @@ impl Default for ServeConfig {
             port: 0,
             threads: 4,
             queue_depth: 64,
-            accept_depth: 128,
             max_batch: 32,
             default_timeout_ms: 2_000,
             max_timeout_ms: 30_000,
             read_timeout_ms: 5_000,
-            write_timeout_ms: 5_000,
-            default_top: 10,
-            keep_alive_max: 10_000,
             degrade: true,
         }
     }
@@ -185,6 +173,18 @@ fn next_request_id() -> String {
 /// waiting on the batcher, covering reply-channel scheduling jitter.
 const REPLY_SLACK: Duration = Duration::from_millis(50);
 
+/// Accept→worker handoff bound; connections past it shed with 503.
+const ACCEPT_DEPTH: usize = 128;
+
+/// Socket write timeout.
+const WRITE_TIMEOUT: Duration = Duration::from_millis(5_000);
+
+/// Result count when a request names none.
+const DEFAULT_TOP: usize = 10;
+
+/// Requests served per connection before forcing a close.
+const KEEP_ALIVE_MAX: usize = 10_000;
+
 /// Advisory `Retry-After` (seconds) on shed responses.
 const RETRY_AFTER_SECS: u32 = 1;
 
@@ -243,7 +243,7 @@ impl Server {
         }
         let queue = Arc::new(Queue::new(cfg.queue_depth));
         let draining = Arc::new(AtomicBool::new(false));
-        let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(cfg.accept_depth);
+        let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(ACCEPT_DEPTH);
         let conn_rx = Arc::new(Mutex::new(conn_rx));
 
         let mut workers = Vec::with_capacity(cfg.threads);
@@ -272,7 +272,6 @@ impl Server {
         };
 
         // Accept loop.
-        let write_timeout = Duration::from_millis(cfg.write_timeout_ms.max(1));
         // Relaxed: `stop`/`draining` are independent on/off gates and
         // the stats fields are monitoring counters; nothing below
         // requires an ordering between them.
@@ -300,7 +299,7 @@ impl Server {
                             // Relaxed: monitoring counter.
                             stats.shed.fetch_add(1, Ordering::Relaxed);
                             lsi_obs::count("serve.shed.count", 1);
-                            let _ = stream.set_write_timeout(Some(write_timeout));
+                            let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
                             let resp = overloaded_response("connection queue full").closing();
                             let _ = http::write_response(&mut stream, &resp);
                         }
@@ -431,13 +430,13 @@ fn handle_connection(
 ) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(http::READ_POLL));
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(cfg.write_timeout_ms.max(1))));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let idle_budget = Duration::from_millis(cfg.read_timeout_ms.max(1));
     let mut carry = Vec::new();
     // Relaxed: drain flag is an advisory gate, re-checked per request.
     let is_draining = || draining.load(Ordering::Relaxed);
 
-    for served in 0..cfg.keep_alive_max.max(1) {
+    for served in 0..KEEP_ALIVE_MAX {
         let outcome = http::read_request(stream, &mut carry, idle_budget, &is_draining);
         let req = match outcome {
             ReadOutcome::Request(req) => req,
@@ -462,7 +461,7 @@ fn handle_connection(
         let mut resp = route(&req, cfg, queue, stats, draining);
         let last = req.wants_close()
             || is_draining()
-            || served + 1 == cfg.keep_alive_max.max(1);
+            || served + 1 == KEEP_ALIVE_MAX;
         if last {
             resp.close = true;
         }
@@ -563,7 +562,7 @@ fn parse_get_query(qs: &str, cfg: &ServeConfig) -> Result<QueryParams, &'static 
     let top = match http::query_param(qs, "top") {
         Some(Ok(v)) => v.parse::<usize>().map_err(|_| "invalid `top` parameter")?,
         Some(Err(())) => return Err("undecodable `top` parameter"),
-        None => cfg.default_top,
+        None => DEFAULT_TOP,
     };
     let timeout_ms = match http::query_param(qs, "timeout_ms") {
         Some(Ok(v)) => v
@@ -587,7 +586,7 @@ fn parse_post_query(body: &[u8], cfg: &ServeConfig) -> Result<QueryParams, Strin
     }
     let top = match json.get("top") {
         Some(v) => as_count(v).ok_or_else(|| "invalid `top`".to_string())?,
-        None => cfg.default_top,
+        None => DEFAULT_TOP,
     };
     let timeout_ms = match json.get("timeout_ms") {
         Some(v) => as_count(v).ok_or_else(|| "invalid `timeout_ms`".to_string())? as u64,

@@ -11,8 +11,9 @@
 //! then `w -= Q y`) is used instead of `las2`'s selective scheme: at
 //! the scales exercised here the `O(I² · dim)` cost is small next to
 //! the sparse products, and it eliminates spurious duplicate Ritz
-//! values entirely. The ablation benchmark
-//! `lsi-bench/benches/lanczos_scale.rs` quantifies that trade-off.
+//! values entirely. The `perf_kernels` rows `lanczos_k50_secs`,
+//! `lanczos_periodic4_k50_secs` and `lanczos_three_term_k50_secs`
+//! quantify that trade-off.
 //! Ritz vectors are assembled with one blocked GEMM (`Y = Q S`), and
 //! the report carries per-phase flop and wall-time accounting.
 //!
@@ -45,8 +46,9 @@ use crate::{Error, Result};
 /// orthogonal by itself; in floating point it famously does not
 /// (spurious duplicate Ritz values appear as soon as a triplet
 /// converges). The strategies trade the `O(I² · dim)` cleanup cost
-/// against that risk — `lsi-bench --bench lanczos` measures the
-/// trade-off, and the duplicate-Ritz pathology of `ThreeTermOnly` is
+/// against that risk — `perf_kernels` times all three on one matrix
+/// (`lanczos_k50_secs`, `lanczos_periodic4_k50_secs`,
+/// `lanczos_three_term_k50_secs`), and the duplicate-Ritz pathology of `ThreeTermOnly` is
 /// demonstrated in this module's tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Reorth {

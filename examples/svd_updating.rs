@@ -61,7 +61,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "the paper's claim: folding-in freezes the old geometry and distorts\n\
          orthogonality; SVD-updating tracks the recomputed space at a fraction\n\
-         of the cost (run `cargo bench -p lsi-bench --bench updating` to see)."
+         of the cost (run `cargo run --release -p lsi-bench --bin repro -- --table7`\n\
+         to see)."
     );
     Ok(())
 }

@@ -27,6 +27,8 @@ out=$(./target/release/perf_kernels --quick)
 for key in \
     gemm_nn_256_gflops gemm_tn_256_gflops gemm_nn_512_gflops \
     gemm_nn_tall_gflops lanczos_k50_secs lanczos_k50_steps \
+    randomized_q2_k50_secs randomized_q0_k50_secs \
+    lanczos_periodic4_k50_secs lanczos_three_term_k50_secs \
     query_single_qps query_batch_scoring_qps query_multi_facet_qps \
     git_sha '"metrics"' '"spans"'; do
   if ! grep -q -- "$key" <<<"$out"; then
