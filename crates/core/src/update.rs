@@ -687,8 +687,8 @@ mod tests {
         let k = m.k();
         let term = 0usize;
         // Delta: +0.5 to term 0's weight in every document it occurs in.
-        let csr = m.weighted_matrix().to_csr();
-        let (cols, vals) = csr.row(term);
+        let rows = m.weighted_matrix().transpose();
+        let (cols, vals) = rows.col(term);
         let mut delta = vec![0.0; m.n_docs()];
         for (&c, &v) in cols.iter().zip(vals.iter()) {
             delta[c] = 0.5 * v;

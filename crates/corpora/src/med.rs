@@ -257,9 +257,9 @@ mod tests {
     fn every_term_occurs_in_more_than_one_topic() {
         // The paper's parsing rule, verified on the realized matrix.
         let ex = MedExample::build();
-        let csr = ex.matrix.to_csr();
+        let rows = ex.matrix.transpose();
         for (i, term) in TERMS.iter().enumerate() {
-            let (cols, _) = csr.row(i);
+            let (cols, _) = rows.col(i);
             assert!(cols.len() >= 2, "term {term} has df {}", cols.len());
         }
     }

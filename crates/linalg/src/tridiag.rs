@@ -163,10 +163,14 @@ pub fn tridiag_eigen(t: &SymTridiag) -> Result<(Vec<f64>, DenseMatrix)> {
 
     // Sort descending, permuting eigenvector columns along.
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| d[b].partial_cmp(&d[a]).expect("finite eigenvalues"));
+    order.sort_by(|&a, &b| d[b].total_cmp(&d[a]));
     let values: Vec<f64> = order.iter().map(|&i| d[i]).collect();
-    let vecs = DenseMatrix::from_cols(&order.iter().map(|&i| z.col(i).to_vec()).collect::<Vec<_>>())
-        .expect("columns share length");
+    // Column copies into a zeroed matrix: no fallible constructor, so
+    // no error or panic path after the sweeps.
+    let mut vecs = DenseMatrix::zeros(n, n);
+    for (j, &i) in order.iter().enumerate() {
+        vecs.col_mut(j).copy_from_slice(z.col(i));
+    }
     Ok((values, vecs))
 }
 
@@ -257,7 +261,7 @@ pub fn tridiag_eigen_last_row(t: &SymTridiag) -> Result<(Vec<f64>, Vec<f64>)> {
     }
 
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| d[b].partial_cmp(&d[a]).expect("finite eigenvalues"));
+    order.sort_by(|&a, &b| d[b].total_cmp(&d[a]));
     let values: Vec<f64> = order.iter().map(|&i| d[i]).collect();
     let row: Vec<f64> = order.iter().map(|&i| zrow[i]).collect();
     Ok((values, row))

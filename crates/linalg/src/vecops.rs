@@ -141,11 +141,14 @@ pub fn distance(x: &[f64], y: &[f64]) -> f64 {
 
 /// Index and value of the entry with the largest absolute value.
 ///
-/// Returns `None` for an empty slice.
+/// Returns `None` for an empty slice. Magnitudes compare under
+/// `f64::total_cmp`, which orders finite values as `<` does and ranks a
+/// NaN above every number, so a NaN entry is returned rather than
+/// panicking.
 pub fn argmax_abs(x: &[f64]) -> Option<(usize, f64)> {
     x.iter()
         .enumerate()
-        .max_by(|a, b| a.1.abs().partial_cmp(&b.1.abs()).expect("non-NaN"))
+        .max_by(|a, b| a.1.abs().total_cmp(&b.1.abs()))
         .map(|(i, &v)| (i, v))
 }
 
@@ -233,6 +236,13 @@ mod tests {
     fn argmax_abs_finds_largest_magnitude() {
         assert_eq!(argmax_abs(&[1.0, -5.0, 3.0]), Some((1, -5.0)));
         assert_eq!(argmax_abs(&[]), None);
+    }
+
+    #[test]
+    fn argmax_abs_returns_on_nan() {
+        let (i, v) = argmax_abs(&[1.0, f64::NAN, -5.0]).unwrap();
+        assert_eq!(i, 1);
+        assert!(v.is_nan());
     }
 
     #[test]

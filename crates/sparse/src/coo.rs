@@ -5,7 +5,6 @@
 //! exactly the term-frequency semantics of the paper's Eq. (4).
 
 use crate::csc::CscMatrix;
-use crate::csr::CsrMatrix;
 use crate::{Error, Result};
 
 /// A growable sparse matrix in coordinate (triplet) format.
@@ -80,80 +79,62 @@ impl CooMatrix {
             .map(|((&r, &c), &v)| (r, c, v))
     }
 
-    /// Convert to CSR, summing duplicates and dropping explicit zeros.
-    pub fn to_csr(&self) -> CsrMatrix {
-        compress(self.nrows, self.ncols, &self.rows, &self.cols, &self.vals, true)
-    }
-
     /// Convert to CSC, summing duplicates and dropping explicit zeros.
     pub fn to_csc(&self) -> CscMatrix {
-        let csr_of_transpose =
-            compress(self.ncols, self.nrows, &self.cols, &self.rows, &self.vals, true);
-        CscMatrix::from_transposed_csr(csr_of_transpose)
-    }
-}
-
-/// Bucket-sort triplets into compressed row storage.
-fn compress(
-    nrows: usize,
-    ncols: usize,
-    rows: &[usize],
-    cols: &[usize],
-    vals: &[f64],
-    drop_zeros: bool,
-) -> CsrMatrix {
-    // Count entries per row.
-    let mut counts = vec![0usize; nrows + 1];
-    for &r in rows {
-        counts[r + 1] += 1;
-    }
-    for i in 0..nrows {
-        counts[i + 1] += counts[i];
-    }
-    // Scatter into per-row buckets.
-    let mut col_idx = vec![0usize; vals.len()];
-    let mut values = vec![0.0f64; vals.len()];
-    let mut next = counts.clone();
-    for ((&r, &c), &v) in rows.iter().zip(cols.iter()).zip(vals.iter()) {
-        let slot = next[r];
-        col_idx[slot] = c;
-        values[slot] = v;
-        next[r] += 1;
-    }
-    // Sort each row by column and sum duplicates.
-    let mut out_indptr = Vec::with_capacity(nrows + 1);
-    let mut out_cols = Vec::with_capacity(vals.len());
-    let mut out_vals = Vec::with_capacity(vals.len());
-    out_indptr.push(0usize);
-    let mut scratch: Vec<(usize, f64)> = Vec::new();
-    for r in 0..nrows {
-        scratch.clear();
-        scratch.extend(
-            col_idx[counts[r]..counts[r + 1]]
-                .iter()
-                .copied()
-                .zip(values[counts[r]..counts[r + 1]].iter().copied()),
-        );
-        scratch.sort_unstable_by_key(|&(c, _)| c);
-        let mut i = 0;
-        while i < scratch.len() {
-            let c = scratch[i].0;
-            let mut v = scratch[i].1;
-            let mut j = i + 1;
-            while j < scratch.len() && scratch[j].0 == c {
-                v += scratch[j].1;
-                j += 1;
-            }
-            if !(drop_zeros && v == 0.0) {
-                out_cols.push(c);
-                out_vals.push(v);
-            }
-            i = j;
+        // Count entries per column.
+        let mut counts = vec![0usize; self.ncols + 1];
+        for &c in &self.cols {
+            counts[c + 1] += 1;
         }
-        out_indptr.push(out_cols.len());
+        for i in 0..self.ncols {
+            counts[i + 1] += counts[i];
+        }
+        // Scatter into per-column buckets.
+        let mut row_idx = vec![0usize; self.vals.len()];
+        let mut values = vec![0.0f64; self.vals.len()];
+        let mut next = counts.clone();
+        for ((&r, &c), &v) in self.rows.iter().zip(self.cols.iter()).zip(self.vals.iter()) {
+            let slot = next[c];
+            row_idx[slot] = r;
+            values[slot] = v;
+            next[c] += 1;
+        }
+        // Sort each column by row and sum duplicates.
+        let mut out_indptr = Vec::with_capacity(self.ncols + 1);
+        let mut out_rows = Vec::with_capacity(self.vals.len());
+        let mut out_vals = Vec::with_capacity(self.vals.len());
+        out_indptr.push(0usize);
+        let mut scratch: Vec<(usize, f64)> = Vec::new();
+        for c in 0..self.ncols {
+            scratch.clear();
+            scratch.extend(
+                row_idx[counts[c]..counts[c + 1]]
+                    .iter()
+                    .copied()
+                    .zip(values[counts[c]..counts[c + 1]].iter().copied()),
+            );
+            scratch.sort_unstable_by_key(|&(r, _)| r);
+            let mut i = 0;
+            while i < scratch.len() {
+                let r = scratch[i].0;
+                let mut v = scratch[i].1;
+                let mut j = i + 1;
+                while j < scratch.len() && scratch[j].0 == r {
+                    v += scratch[j].1;
+                    j += 1;
+                }
+                if v != 0.0 {
+                    out_rows.push(r);
+                    out_vals.push(v);
+                }
+                i = j;
+            }
+            out_indptr.push(out_rows.len());
+        }
+        // Rows were bounds-checked by `push` and each column is sorted
+        // and deduplicated above: the CSC invariants hold.
+        CscMatrix::from_parts(self.nrows, self.ncols, out_indptr, out_rows, out_vals)
     }
-    CsrMatrix::from_raw(nrows, ncols, out_indptr, out_cols, out_vals)
-        .expect("compress produces valid CSR by construction")
 }
 
 #[cfg(test)]
@@ -178,13 +159,13 @@ mod tests {
     }
 
     #[test]
-    fn duplicates_are_summed_in_csr() {
+    fn duplicates_are_summed() {
         let mut m = CooMatrix::new(2, 2);
         m.push(0, 1, 1.0).unwrap();
         m.push(0, 1, 2.5).unwrap();
-        let csr = m.to_csr();
-        assert_eq!(csr.nnz(), 1);
-        assert_eq!(csr.get(0, 1), 3.5);
+        let csc = m.to_csc();
+        assert_eq!(csc.nnz(), 1);
+        assert_eq!(csc.get(0, 1), 3.5);
     }
 
     #[test]
@@ -193,23 +174,29 @@ mod tests {
         m.push(0, 0, 1.0).unwrap();
         m.push(0, 0, -1.0).unwrap();
         m.push(0, 1, 4.0).unwrap();
-        let csr = m.to_csr();
-        assert_eq!(csr.nnz(), 1);
-        assert_eq!(csr.get(0, 0), 0.0);
-        assert_eq!(csr.get(0, 1), 4.0);
+        let csc = m.to_csc();
+        assert_eq!(csc.nnz(), 1);
+        assert_eq!(csc.get(0, 0), 0.0);
+        assert_eq!(csc.get(0, 1), 4.0);
     }
 
     #[test]
-    fn csr_and_csc_agree() {
+    fn csc_matches_triplets() {
         let mut m = CooMatrix::new(3, 4);
-        for (r, c, v) in [(0, 3, 1.0), (2, 0, -2.0), (1, 1, 0.5), (2, 3, 7.0)] {
+        let trips = [(0, 3, 1.0), (2, 0, -2.0), (1, 1, 0.5), (2, 3, 7.0)];
+        for (r, c, v) in trips {
             m.push(r, c, v).unwrap();
         }
-        let csr = m.to_csr();
         let csc = m.to_csc();
+        let csc_t = csc.transpose();
         for i in 0..3 {
             for j in 0..4 {
-                assert_eq!(csr.get(i, j), csc.get(i, j), "mismatch at ({i},{j})");
+                let want = trips
+                    .iter()
+                    .find(|&&(r, c, _)| (r, c) == (i, j))
+                    .map_or(0.0, |t| t.2);
+                assert_eq!(csc.get(i, j), want, "mismatch at ({i},{j})");
+                assert_eq!(csc_t.get(j, i), want, "transpose mismatch at ({i},{j})");
             }
         }
     }
@@ -217,8 +204,8 @@ mod tests {
     #[test]
     fn empty_matrix_converts() {
         let m = CooMatrix::new(0, 0);
-        assert_eq!(m.to_csr().nnz(), 0);
         assert_eq!(m.to_csc().nnz(), 0);
+        assert_eq!(m.to_csc().transpose().nnz(), 0);
     }
 
     #[test]

@@ -147,9 +147,10 @@ mod tests {
     #[test]
     fn zipf_profile_concentrates_mass_on_early_rows() {
         let m = random_term_doc(1000, 50, 0.02, RowProfile::Zipf { s: 1.2 }, 1, 3);
-        let csr = m.to_csr();
-        let head: usize = (0..100).map(|r| csr.row(r).0.len()).sum();
-        let tail: usize = (900..1000).map(|r| csr.row(r).0.len()).sum();
+        // A column of the transpose is a row of the matrix.
+        let rows = m.transpose();
+        let head: usize = (0..100).map(|r| rows.col(r).0.len()).sum();
+        let tail: usize = (900..1000).map(|r| rows.col(r).0.len()).sum();
         assert!(
             head > tail * 3,
             "head rows should dominate: head {head} tail {tail}"

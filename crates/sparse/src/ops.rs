@@ -1,11 +1,11 @@
 //! The linear-operator abstraction consumed by the Lanczos SVD.
 //!
 //! The Lanczos driver only ever needs `A·x` and `Aᵀ·x`; abstracting them
-//! behind a trait lets the same driver run on CSR, CSC, or matrix-free
-//! operators (the flop-counting wrapper in `lsi-svd` relies on this).
+//! behind a trait lets the same driver run on a CSC matrix, on
+//! [`DualFormat`], or on matrix-free operators (the flop-counting
+//! wrapper in `lsi-svd` relies on this).
 
 use crate::csc::CscMatrix;
-use crate::csr::CsrMatrix;
 
 /// A real linear operator exposing forward and transposed products.
 pub trait MatVec: Sync {
@@ -27,31 +27,6 @@ pub trait MatVec: Sync {
     }
 }
 
-impl MatVec for CsrMatrix {
-    fn nrows(&self) -> usize {
-        CsrMatrix::nrows(self)
-    }
-
-    fn ncols(&self) -> usize {
-        CsrMatrix::ncols(self)
-    }
-
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        self.par_matvec_into(x, y);
-    }
-
-    fn apply_t(&self, x: &[f64], y: &mut [f64]) {
-        // The CSR transposed product is a scatter (racy to split), so
-        // it stays serial; DualFormat holds a CSC copy for this case.
-        let r = self.matvec_t(x).expect("dimension checked by caller");
-        y.copy_from_slice(&r);
-    }
-
-    fn nnz(&self) -> usize {
-        CsrMatrix::nnz(self)
-    }
-}
-
 impl MatVec for CscMatrix {
     fn nrows(&self) -> usize {
         CscMatrix::nrows(self)
@@ -62,8 +37,9 @@ impl MatVec for CscMatrix {
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        let r = self.matvec(x).expect("dimension checked by caller");
-        y.copy_from_slice(&r);
+        // The CSC forward product is a scatter (racy to split), so it
+        // stays serial; DualFormat gathers over the transpose instead.
+        self.matvec_into(x, y);
     }
 
     fn apply_t(&self, x: &[f64], y: &mut [f64]) {
@@ -75,47 +51,47 @@ impl MatVec for CscMatrix {
     }
 }
 
-/// A pair of matching formats: CSR for `A·x`, CSC for `Aᵀ·x` — each
-/// product in its cache-friendly orientation. This is what the LSI model
-/// builder hands to the Lanczos driver for large matrices.
+/// A matrix held twice in CSC, as `A` and as `Aᵀ`, so that both
+/// products run the same nnz-balanced parallel gather
+/// ([`CscMatrix::par_matvec_t_into`]): `Aᵀ·x` over the columns of `A`,
+/// `A·x` over the columns of `Aᵀ` (the rows of `A`). This is what the
+/// LSI model builder hands to the Lanczos driver.
 pub struct DualFormat {
-    /// Row-major copy.
-    pub csr: CsrMatrix,
-    /// Column-major copy.
-    pub csc: CscMatrix,
+    a: CscMatrix,
+    at: CscMatrix,
 }
 
 impl DualFormat {
     /// Build both orientations from a CSC source.
-    pub fn from_csc(csc: CscMatrix) -> Self {
-        let csr = csc.to_csr();
-        DualFormat { csr, csc }
+    pub fn from_csc(a: CscMatrix) -> Self {
+        let at = a.transpose();
+        DualFormat { a, at }
     }
 }
 
 impl MatVec for DualFormat {
     fn nrows(&self) -> usize {
-        self.csr.nrows()
+        self.a.nrows()
     }
 
     fn ncols(&self) -> usize {
-        self.csr.ncols()
+        self.a.ncols()
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
         lsi_obs::count("sparse.matvec.count", 1);
-        lsi_obs::add_flops(2.0 * self.csr.nnz() as f64);
-        self.csr.par_matvec_into(x, y);
+        lsi_obs::add_flops(2.0 * self.at.nnz() as f64);
+        self.at.par_matvec_t_into(x, y);
     }
 
     fn apply_t(&self, x: &[f64], y: &mut [f64]) {
         lsi_obs::count("sparse.matvec_t.count", 1);
-        lsi_obs::add_flops(2.0 * self.csc.nnz() as f64);
-        self.csc.par_matvec_t_into(x, y);
+        lsi_obs::add_flops(2.0 * self.a.nnz() as f64);
+        self.a.par_matvec_t_into(x, y);
     }
 
     fn nnz(&self) -> usize {
-        self.csr.nnz()
+        self.a.nnz()
     }
 }
 
@@ -134,23 +110,19 @@ mod tests {
 
     #[test]
     fn trait_apply_matches_inherent_methods() {
-        let csr = sample_coo().to_csr();
         let csc = sample_coo().to_csc();
         let x = [1.0, -1.0];
-        let mut y1 = vec![0.0; 3];
-        let mut y2 = vec![0.0; 3];
-        MatVec::apply(&csr, &x, &mut y1);
-        MatVec::apply(&csc, &x, &mut y2);
-        assert_eq!(y1, y2);
-        assert_eq!(y1, vec![1.0, -2.0, -1.0]);
+        // Stale contents: the products overwrite `y`, never accumulate.
+        let mut y = vec![7.0; 3];
+        MatVec::apply(&csc, &x, &mut y);
+        assert_eq!(y, csc.matvec(&x).unwrap());
+        assert_eq!(y, vec![1.0, -2.0, -1.0]);
 
         let xt = [1.0, 1.0, 1.0];
-        let mut z1 = vec![0.0; 2];
-        let mut z2 = vec![0.0; 2];
-        MatVec::apply_t(&csr, &xt, &mut z1);
-        MatVec::apply_t(&csc, &xt, &mut z2);
-        assert_eq!(z1, z2);
-        assert_eq!(z1, vec![4.0, 6.0]);
+        let mut z = vec![7.0; 2];
+        MatVec::apply_t(&csc, &xt, &mut z);
+        assert_eq!(z, csc.matvec_t(&xt).unwrap());
+        assert_eq!(z, vec![4.0, 6.0]);
     }
 
     #[test]

@@ -3,19 +3,21 @@
 //! Splitting a sparse matvec by *row count* hands skewed matrices to
 //! one worker: term-frequency matrices are Zipf-distributed, so a few
 //! dense term rows can hold a large share of the nonzeros and the
-//! worker that draws them finishes long after the rest. Instead, the
-//! parallel kernels partition by *nonzero count*: the compressed
-//! pointer array (`indptr`) is itself the prefix-sum of nnz per
-//! row/column, so span boundaries fall out of a handful of binary
-//! searches — no scan, no extra storage.
+//! worker that draws them finishes long after the rest. The parallel
+//! gather ([`crate::CscMatrix::par_matvec_t_into`]) runs over the
+//! columns of a CSC matrix, and for `A·x` over the columns of its
+//! transpose, which are those term rows. It partitions by *nonzero
+//! count*: the compressed pointer array (`indptr`) is itself the
+//! prefix-sum of nnz per column, so span boundaries fall out of a
+//! handful of binary searches — no scan, no extra storage.
 
-/// Partition `0..indptr.len()-1` (rows of a CSR, columns of a CSC)
-/// into at most `n_spans` contiguous spans holding roughly equal
-/// nonzero counts. Returns half-open `(lo, hi)` index ranges covering
-/// every index exactly once; spans are never empty. A single row/column
-/// holding most of the nonzeros yields fewer, uneven spans (it cannot
-/// be split), which is exactly the right behavior: its neighbors land
-/// in other spans instead of queueing behind it.
+/// Partition `0..indptr.len()-1` (the columns of a CSC matrix) into at
+/// most `n_spans` contiguous spans holding roughly equal nonzero
+/// counts. Returns half-open `(lo, hi)` index ranges covering every
+/// index exactly once; spans are never empty. A single column holding
+/// most of the nonzeros yields fewer, uneven spans (it cannot be
+/// split), which is exactly the right behavior: its neighbors land in
+/// other spans instead of queueing behind it.
 pub fn nnz_balanced_spans(indptr: &[usize], n_spans: usize) -> Vec<(usize, usize)> {
     let n = indptr.len().saturating_sub(1);
     if n == 0 {

@@ -58,8 +58,11 @@ pub enum Reorth {
     #[default]
     Full,
     /// Reorthogonalize only every `n`-th step (plus the recurrence's
-    /// own two-term correction on other steps). Cheaper, usually
-    /// adequate for well-separated spectra.
+    /// own two-term correction on other steps); for `n > 1` each sweep
+    /// takes the robust two-pass path, because the basis drifts between
+    /// sweeps. Not a cheaper `Full`: on `perf_kernels`'s trec_like(20)
+    /// matrix at k = 50 `Periodic(4)` took 0.136 s against 0.073 s for
+    /// `Full` (BENCH_kernels.json `svd_ablation`). Kept for the ablation.
     Periodic(usize),
     /// The bare three-term recurrence. Fast and *unreliable* beyond a
     /// few dozen steps — present for the ablation, not for use.
@@ -365,8 +368,7 @@ pub fn lanczos_svd<M: MatVec + ?Sized>(
         // Convergence test.
         let at_end = steps == max_basis;
         if steps >= k && (steps.is_multiple_of(opts.check_every) || at_end || breakdown) {
-            let t = SymTridiag::new(alphas.clone(), betas[..steps - 1].to_vec())
-                .expect("consistent lengths by construction");
+            let t = SymTridiag::new(alphas.clone(), betas[..steps - 1].to_vec())?;
             // The residual bound only reads the last eigenvector row,
             // so the O(n²) last-row solver suffices here; the full
             // O(n³) decomposition runs once, at final extraction.
@@ -405,8 +407,7 @@ pub fn lanczos_svd<M: MatVec + ?Sized>(
     }
 
     // Final Ritz extraction.
-    let t = SymTridiag::new(alphas.clone(), betas[..steps - 1].to_vec())
-        .expect("consistent lengths by construction");
+    let t = SymTridiag::new(alphas.clone(), betas[..steps - 1].to_vec())?;
     let (theta, s) = tridiag_eigen(&t)?;
     let keep = k.min(theta.len());
 

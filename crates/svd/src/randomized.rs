@@ -104,7 +104,7 @@ pub fn randomized_svd<M: MatVec + ?Sized>(
             v: DenseMatrix::zeros(n, 0),
         });
     }
-    let q = DenseMatrix::from_cols(&q_cols).expect("uniform column length");
+    let q = DenseMatrix::from_cols(&q_cols)?;
     let ql = q.ncols();
 
     // B = Qᵀ A  (ql x n), computed row-wise via Aᵀ q_j.

@@ -295,9 +295,9 @@ mod tests {
         };
         let w = scheme.apply(&counts());
         // Each nonzero row of the weighted matrix has unit 2-norm.
-        let csr = w.matrix.to_csr();
+        let rows = w.matrix.transpose();
         for r in 0..3 {
-            let (_, vals) = csr.row(r);
+            let (_, vals) = rows.col(r);
             let norm: f64 = vals.iter().map(|v| v * v).sum::<f64>().sqrt();
             assert!((norm - 1.0).abs() < 1e-12, "row {r} norm {norm}");
         }
