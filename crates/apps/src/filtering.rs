@@ -78,11 +78,6 @@ impl InterestProfile {
         vecops::cosine(&self.vector, doc_vector)
     }
 
-    /// Would this document be recommended?
-    pub fn recommends(&self, doc_vector: &[f64]) -> bool {
-        self.score(doc_vector) >= self.threshold
-    }
-
     /// Nudge the profile toward a document the user liked (simple
     /// exponential moving average — the "learning" of §5.3).
     pub fn reinforce(&mut self, doc_vector: &[f64], rate: f64) {
@@ -214,9 +209,10 @@ mod tests {
             threshold: -1.0,
             ..strict.clone()
         };
-        let dv = model.project_text(&gen.queries[gen.queries.len() - 1].text).unwrap();
-        assert!(lax.recommends(&dv));
+        let text = &gen.queries[gen.queries.len() - 1].text;
+        let decisions = filter_document(&model, &[lax, strict], text).unwrap();
+        assert!(decisions[0].recommended);
         // A strict threshold on an off-topic doc should reject.
-        assert!(!strict.recommends(&dv) || strict.score(&dv) >= 0.999);
+        assert!(!decisions[1].recommended || decisions[1].score >= 0.999);
     }
 }

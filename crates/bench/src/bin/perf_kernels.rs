@@ -180,8 +180,8 @@ fn time_lanczos(s: &Sizes, dual: &DualFormat, reorth: Reorth) -> (f64, usize) {
 
 /// DESIGN.md §4's SVD ablations on the `lanczos_k50_secs` matrix and
 /// rank: the randomized SVD with 2 and 0 power iterations, and Lanczos
-/// with periodic and with no reorthogonalization.
-fn svd_ablation_rows(s: &Sizes, dual: &DualFormat) -> [(&'static str, f64); 4] {
+/// with no reorthogonalization.
+fn svd_ablation_rows(s: &Sizes, dual: &DualFormat) -> [(&'static str, f64); 3] {
     let randomized = |power_iters: usize| {
         let opts = RandomizedOptions {
             power_iters,
@@ -195,7 +195,6 @@ fn svd_ablation_rows(s: &Sizes, dual: &DualFormat) -> [(&'static str, f64); 4] {
     [
         ("randomized_q2_k50_secs", randomized(2)),
         ("randomized_q0_k50_secs", randomized(0)),
-        ("lanczos_periodic4_k50_secs", time_lanczos(s, dual, Reorth::Periodic(4)).0),
         ("lanczos_three_term_k50_secs", time_lanczos(s, dual, Reorth::ThreeTermOnly).0),
     ]
 }

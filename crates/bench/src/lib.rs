@@ -7,15 +7,3 @@
 
 pub mod experiments;
 pub mod svg;
-
-/// Render a two-column table of (label, value) rows.
-pub fn format_rows(title: &str, rows: &[(String, String)]) -> String {
-    let mut out = String::new();
-    out.push_str(title);
-    out.push('\n');
-    let width = rows.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
-    for (l, v) in rows {
-        out.push_str(&format!("  {l:<width$}  {v}\n"));
-    }
-    out
-}

@@ -55,7 +55,6 @@
 pub mod batch;
 pub mod complexity;
 pub mod compressed;
-pub mod expansion;
 pub mod index;
 pub mod model;
 pub mod multiquery;
@@ -69,7 +68,6 @@ pub use batch::BatchQuery;
 pub use compressed::Precision;
 pub use index::{IndexPolicy, DEFAULT_NPROBE, INDEX_RECLUSTER_THRESHOLD};
 pub use model::{LsiModel, LsiOptions};
-pub use expansion::ExpandedQuery;
 pub use multiquery::{Combine, MultiQuery};
 pub use query::{Match, RankedList};
 pub use querylog::RequestCtx;

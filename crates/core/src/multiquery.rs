@@ -119,11 +119,6 @@ impl MultiQuery {
         }
         Ok(MultiQuery { facets: vectors })
     }
-
-    /// Number of facets.
-    pub fn n_facets(&self) -> usize {
-        self.facets.len()
-    }
 }
 
 impl LsiModel {
@@ -262,13 +257,6 @@ mod tests {
         assert!(MultiQuery::from_texts(&m, &["qqqq zzzz"]).is_err());
         assert!(MultiQuery::from_vectors(&m, vec![vec![1.0]]).is_err());
         assert!(MultiQuery::from_vectors(&m, vec![]).is_err());
-    }
-
-    #[test]
-    fn facet_count_is_reported() {
-        let m = model();
-        let q = MultiQuery::from_texts(&m, &["car", "lion", "zebra"]).unwrap();
-        assert_eq!(q.n_facets(), 3);
     }
 
     #[test]

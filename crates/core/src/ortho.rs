@@ -8,7 +8,7 @@
 //! monitoring this and correlating it with retrieval quality as future
 //! research; `repro --ortho` runs that experiment.
 
-use lsi_linalg::ortho::{orthogonality_defect_fro, orthogonality_defect_spectral};
+use lsi_linalg::ortho::orthogonality_defect_spectral;
 
 use crate::model::LsiModel;
 use crate::Result;
@@ -32,15 +32,6 @@ impl LsiModel {
         Ok(OrthogonalityLoss {
             term_defect: orthogonality_defect_spectral(&self.u, k)?,
             doc_defect: orthogonality_defect_spectral(&self.v, k)?,
-        })
-    }
-
-    /// Frobenius variant (cheaper, upper-bounds the spectral defect).
-    pub fn orthogonality_loss_fro(&self) -> Result<OrthogonalityLoss> {
-        let k = self.k();
-        Ok(OrthogonalityLoss {
-            term_defect: orthogonality_defect_fro(&self.u, k)?,
-            doc_defect: orthogonality_defect_fro(&self.v, k)?,
         })
     }
 }
@@ -108,16 +99,5 @@ mod tests {
         let loss = m.orthogonality_loss().unwrap();
         assert!(loss.term_defect < 1e-9);
         assert!(loss.doc_defect < 1e-9);
-    }
-
-    #[test]
-    fn fro_bounds_spectral() {
-        let mut m = build();
-        m.fold_in_documents(&Corpus::from_pairs([("f", "alpha alpha beta")]))
-            .unwrap();
-        let spec = m.orthogonality_loss().unwrap();
-        let fro = m.orthogonality_loss_fro().unwrap();
-        assert!(spec.doc_defect <= fro.doc_defect + 1e-12);
-        assert!(spec.term_defect <= fro.term_defect + 1e-12);
     }
 }

@@ -72,36 +72,6 @@ impl VectorSpaceModel {
     pub fn ranking(&self, query: &str) -> Vec<usize> {
         self.rank(query).into_iter().map(|(d, _)| d).collect()
     }
-
-    /// Rank against an explicit weighted term vector (relevance-feedback
-    /// callers construct these from document columns).
-    pub fn rank_vector(&self, weighted: &[f64]) -> Vec<(usize, f64)> {
-        assert_eq!(weighted.len(), self.matrix.nrows());
-        let qnorm = lsi_linalg::vecops::nrm2(weighted);
-        let mut scores: Vec<(usize, f64)> = (0..self.n_docs())
-            .map(|j| {
-                let (rows, vals) = self.matrix.col(j);
-                let mut dot = 0.0;
-                for (&r, &v) in rows.iter().zip(vals.iter()) {
-                    dot += weighted[r] * v;
-                }
-                let denom = qnorm * self.doc_norms[j];
-                (j, if denom > 0.0 { dot / denom } else { 0.0 })
-            })
-            .collect();
-        scores.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
-        scores
-    }
-
-    /// A document's weighted column as a dense vector.
-    pub fn doc_vector(&self, j: usize) -> Vec<f64> {
-        let mut v = vec![0.0; self.matrix.nrows()];
-        let (rows, vals) = self.matrix.col(j);
-        for (&r, &val) in rows.iter().zip(vals.iter()) {
-            v[r] = val;
-        }
-        v
-    }
 }
 
 /// Literal lexical matching (§3.2): a document is returned iff it shares
@@ -194,15 +164,6 @@ mod tests {
         for (_, c) in vsm.rank("banana cherry") {
             assert!((-1e-12..=1.0 + 1e-12).contains(&c));
         }
-    }
-
-    #[test]
-    fn vsm_doc_vector_roundtrip() {
-        let vsm = VectorSpaceModel::build(&corpus(), vocab(), TermWeighting::none());
-        let v = vsm.doc_vector(0);
-        let ranked = vsm.rank_vector(&v);
-        assert_eq!(ranked[0].0, 0);
-        assert!((ranked[0].1 - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -66,14 +66,6 @@ impl PrecisionRecallCurve {
             .unwrap_or(0.0)
     }
 
-    /// Area under the curve (trapezoidal).
-    pub fn auc(&self) -> f64 {
-        self.points
-            .windows(2)
-            .map(|w| 0.5 * (w[1].0 - w[0].0) * (w[0].1 + w[1].1))
-            .sum()
-    }
-
     /// Render as an ASCII table (for the repro harness).
     pub fn render(&self) -> String {
         let mut out = String::from("  recall  precision\n");
@@ -101,7 +93,6 @@ mod tests {
         for &(_, p) in &c.points {
             assert_eq!(p, 1.0);
         }
-        assert!((c.auc() - 1.0).abs() < 1e-12);
     }
 
     #[test]

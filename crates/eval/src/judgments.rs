@@ -26,21 +26,9 @@ impl RelevanceJudgments {
         self.relevant.entry(query).or_default().insert(doc);
     }
 
-    /// Record a whole relevant set.
-    pub fn add_all(&mut self, query: usize, docs: impl IntoIterator<Item = usize>) {
-        self.relevant.entry(query).or_default().extend(docs);
-    }
-
     /// The relevant set for `query` (empty set if none recorded).
     pub fn relevant(&self, query: usize) -> HashSet<usize> {
         self.relevant.get(&query).cloned().unwrap_or_default()
-    }
-
-    /// Is `doc` relevant to `query`?
-    pub fn is_relevant(&self, query: usize, doc: usize) -> bool {
-        self.relevant
-            .get(&query)
-            .is_some_and(|s| s.contains(&doc))
     }
 
     /// Number of queries with at least one judgment.
@@ -66,20 +54,12 @@ mod tests {
         j.add(0, 3);
         j.add(0, 5);
         j.add(2, 1);
-        assert!(j.is_relevant(0, 3));
-        assert!(!j.is_relevant(0, 4));
-        assert!(!j.is_relevant(1, 3));
+        assert!(j.relevant(0).contains(&3));
+        assert!(!j.relevant(0).contains(&4));
+        assert!(!j.relevant(1).contains(&3));
         assert_eq!(j.relevant(0).len(), 2);
         assert_eq!(j.n_queries(), 2);
         assert_eq!(j.queries(), vec![0, 2]);
-    }
-
-    #[test]
-    fn add_all_extends() {
-        let mut j = RelevanceJudgments::new();
-        j.add_all(1, [2, 4, 6]);
-        j.add_all(1, [6, 8]);
-        assert_eq!(j.relevant(1).len(), 4);
     }
 
     #[test]

@@ -40,9 +40,6 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 /// smoke harness in `scripts/verify.sh` and the docs cannot drift from
 /// the code.
 pub mod points {
-    /// Sparse I/O: entry of `lsi_sparse::io::read_matrix_market`.
-    /// Honors `return-err` (→ `Error::Parse`) and `delay-ms`.
-    pub const SPARSE_IO_READ: &str = "sparse.io.read";
     /// Per-iteration in the Lanczos driver, fired after the Gram
     /// product. Honors `return-err` (→ `Error::Fault`), `inject-nan`
     /// (poisons the recurrence vector; the watchdog or the fallback
@@ -80,7 +77,6 @@ pub mod points {
 
     /// Every registered failpoint, for enumeration by smoke harnesses.
     pub const ALL: &[&str] = &[
-        SPARSE_IO_READ,
         SVD_LANCZOS_ITER,
         POOL_TASK,
         CORE_PERSIST_SAVE,
@@ -459,7 +455,7 @@ mod tests {
     fn points_list_is_consistent() {
         assert!(points::ALL.contains(&points::SVD_LANCZOS_ITER));
         assert!(points::ALL.contains(&points::SERVE_BATCH));
-        assert_eq!(points::ALL.len(), 9);
+        assert_eq!(points::ALL.len(), 8);
         for name in points::ALL {
             // Names follow the span taxonomy: dotted lowercase.
             assert!(name.chars().all(|c| c.is_ascii_lowercase()

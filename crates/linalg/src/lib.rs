@@ -6,7 +6,8 @@
 //! * a column-major [`DenseMatrix`] with BLAS-1/2/3 style kernels
 //!   ([`ops`], [`vecops`]), backed by a cache-blocked, register-tiled
 //!   GEMM and Gram–Schmidt panel kernels ([`gemm`]),
-//! * Householder QR factorization and modified Gram–Schmidt ([`qr`]),
+//! * modified Gram–Schmidt orthonormalization and the Lanczos
+//!   reorthogonalization passes ([`qr`]),
 //! * a symmetric tridiagonal eigensolver (implicit QL with Wilkinson
 //!   shifts, plus Sturm-sequence bisection) ([`tridiag`]),
 //! * a dense symmetric eigensolver via Householder tridiagonalization
@@ -27,7 +28,6 @@
 
 pub mod bidiag;
 pub mod gemm;
-pub mod givens;
 pub mod jacobi;
 pub mod lowp;
 pub mod matrix;

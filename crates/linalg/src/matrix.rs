@@ -284,11 +284,6 @@ impl DenseMatrix {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
-    /// Largest absolute entry.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0f64, |acc, v| acc.max(v.abs()))
-    }
-
     /// True if every entry is finite.
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())

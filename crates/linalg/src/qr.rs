@@ -1,87 +1,14 @@
-//! QR factorization: Householder reflections and modified Gram–Schmidt.
+//! Gram–Schmidt orthonormalization.
 //!
-//! Householder QR is the workhorse for orthonormalizing the dense bases
-//! produced by SVD-updating; two-pass classical Gram–Schmidt ("twice is
-//! enough"), built on blocked panel kernels, is what the Lanczos driver
-//! uses to keep its basis orthogonal.
+//! Modified Gram–Schmidt ([`mgs_orthonormalize`]) orthonormalizes the
+//! dense bases produced by SVD-updating and the randomized SVD's range
+//! sketches; two-pass classical Gram–Schmidt ("twice is enough"), built
+//! on blocked panel kernels, is what the Lanczos driver uses to keep its
+//! basis orthogonal.
 
 use crate::gemm;
 use crate::matrix::DenseMatrix;
 use crate::vecops;
-use crate::{Error, Result};
-
-/// Result of a Householder QR factorization `A = Q R` with
-/// `Q` `m x n` (thin) and `R` `n x n` upper triangular (for `m >= n`).
-#[derive(Debug, Clone)]
-pub struct Qr {
-    /// Thin orthonormal factor (`m x min(m,n)`).
-    pub q: DenseMatrix,
-    /// Upper-triangular factor (`min(m,n) x n`).
-    pub r: DenseMatrix,
-}
-
-/// Householder QR of `a`.
-///
-/// Works for any shape; returns the thin factorization.
-pub fn householder_qr(a: &DenseMatrix) -> Result<Qr> {
-    if !a.is_finite() {
-        return Err(Error::NotFinite);
-    }
-    let m = a.nrows();
-    let n = a.ncols();
-    let k = m.min(n);
-    let mut r = a.clone();
-    // Store the reflectors: v_j has length m - j, kept in a jagged vec.
-    let mut reflectors: Vec<Vec<f64>> = Vec::with_capacity(k);
-
-    for j in 0..k {
-        // Build the Householder vector from column j, rows j..m.
-        let col = r.col(j);
-        let x = &col[j..];
-        let alpha = -vecops::nrm2(x).copysign(if x[0] >= 0.0 { 1.0 } else { -1.0 });
-        let mut v = x.to_vec();
-        v[0] -= alpha;
-        let vnorm = vecops::nrm2(&v);
-        if vnorm > 0.0 {
-            vecops::scal(1.0 / vnorm, &mut v);
-            // Apply H = I - 2 v v^T to the trailing columns of R.
-            for jj in j..n {
-                let cjj = r.col_mut(jj);
-                let tail = &mut cjj[j..];
-                let proj = 2.0 * vecops::dot(&v, tail);
-                vecops::axpy(-proj, &v, tail);
-            }
-        }
-        reflectors.push(v);
-        // Clean the annihilated entries to exact zero for a tidy R.
-        let cj = r.col_mut(j);
-        for i in j + 1..m {
-            cj[i] = 0.0;
-        }
-    }
-
-    // Accumulate thin Q by applying the reflectors in reverse to the
-    // first k columns of the identity.
-    let mut q = DenseMatrix::zeros(m, k);
-    for j in 0..k {
-        q.set(j, j, 1.0);
-    }
-    for j in (0..k).rev() {
-        let v = &reflectors[j];
-        if vecops::nrm2(v) == 0.0 {
-            continue;
-        }
-        for jj in 0..k {
-            let cjj = q.col_mut(jj);
-            let tail = &mut cjj[j..];
-            let proj = 2.0 * vecops::dot(v, tail);
-            vecops::axpy(-proj, v, tail);
-        }
-    }
-
-    let r_thin = r.submatrix(0, k, 0, n);
-    Ok(Qr { q, r: r_thin })
-}
 
 /// Modified Gram–Schmidt orthonormalization of the columns of `a`,
 /// with a single reorthogonalization pass for numerical robustness.
@@ -141,9 +68,10 @@ const DGKS_ETA: f64 = std::f64::consts::FRAC_1_SQRT_2;
 /// dot/axpy pairs.
 ///
 /// The DGKS reading is only meaningful when the basis really is
-/// orthonormal; callers whose basis may have degenerated (sparse
-/// periodic reorthogonalization, restarts) must use
-/// [`orthogonalize_against_robust`] instead.
+/// orthonormal; callers whose basis may have degenerated (the Lanczos
+/// restart and Ritz-vector recovery, which also run under the bare
+/// three-term recurrence) must use [`orthogonalize_against_robust`]
+/// instead.
 pub fn orthogonalize_against(basis: &DenseMatrix, ncols: usize, x: &mut [f64]) -> f64 {
     debug_assert!(ncols <= basis.ncols());
     debug_assert_eq!(basis.nrows(), x.len());
@@ -158,8 +86,9 @@ pub fn orthogonalize_against(basis: &DenseMatrix, ncols: usize, x: &mut [f64]) -
 }
 
 /// Like [`orthogonalize_against`], but safe against a basis that may
-/// have *lost* orthonormality (the periodic-reorthogonalization ghost
-/// regime, and restarts under sparse policies). Always runs both CGS
+/// have *lost* orthonormality (a Lanczos basis built by the bare
+/// three-term recurrence, which admits ghost Ritz vectors). Always runs
+/// both CGS
 /// passes — a degenerate basis makes the single-pass DGKS reading
 /// meaningless — and falls back to two MGS sweeps if the pair of
 /// passes *grew* the norm, which an orthonormal basis can never do.
@@ -196,7 +125,7 @@ fn cgs_pass(basis: &DenseMatrix, ncols: usize, x: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{matmul, matmul_tn};
+    use crate::ops::matmul_tn;
 
     fn assert_orthonormal(q: &DenseMatrix, tol: f64) {
         let qtq = matmul_tn(q, q).unwrap();
@@ -206,65 +135,6 @@ mod tests {
             "Q^T Q deviates from identity by {}",
             qtq.fro_distance(&eye).unwrap()
         );
-    }
-
-    #[test]
-    fn qr_reconstructs_tall_matrix() {
-        let a = DenseMatrix::from_rows(&[
-            vec![1.0, 2.0],
-            vec![3.0, 4.0],
-            vec![5.0, 6.0],
-            vec![7.0, 8.0],
-        ])
-        .unwrap();
-        let Qr { q, r } = householder_qr(&a).unwrap();
-        assert_eq!(q.shape(), (4, 2));
-        assert_eq!(r.shape(), (2, 2));
-        assert_orthonormal(&q, 1e-12);
-        let qr = matmul(&q, &r).unwrap();
-        assert!(qr.fro_distance(&a).unwrap() < 1e-12);
-    }
-
-    #[test]
-    fn qr_of_wide_matrix() {
-        let a = DenseMatrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
-        let Qr { q, r } = householder_qr(&a).unwrap();
-        assert_eq!(q.shape(), (2, 2));
-        assert_eq!(r.shape(), (2, 3));
-        assert_orthonormal(&q, 1e-12);
-        let qr = matmul(&q, &r).unwrap();
-        assert!(qr.fro_distance(&a).unwrap() < 1e-12);
-    }
-
-    #[test]
-    fn r_is_upper_triangular() {
-        let a = DenseMatrix::from_rows(&[
-            vec![2.0, -1.0, 3.0],
-            vec![1.0, 0.0, 1.0],
-            vec![0.0, 5.0, 2.0],
-        ])
-        .unwrap();
-        let Qr { r, .. } = householder_qr(&a).unwrap();
-        for i in 0..r.nrows() {
-            for j in 0..i.min(r.ncols()) {
-                assert_eq!(r.get(i, j), 0.0);
-            }
-        }
-    }
-
-    #[test]
-    fn qr_of_rank_deficient_matrix_still_orthonormal() {
-        // Two identical columns.
-        let a = DenseMatrix::from_cols(&[vec![1.0, 1.0, 1.0], vec![1.0, 1.0, 1.0]]).unwrap();
-        let Qr { q, r } = householder_qr(&a).unwrap();
-        let qr = matmul(&q, &r).unwrap();
-        assert!(qr.fro_distance(&a).unwrap() < 1e-12);
-    }
-
-    #[test]
-    fn qr_rejects_nan() {
-        let a = DenseMatrix::from_rows(&[vec![f64::NAN]]).unwrap();
-        assert!(householder_qr(&a).is_err());
     }
 
     #[test]
@@ -302,14 +172,16 @@ mod tests {
 
     #[test]
     fn qr_handles_pathologically_close_columns() {
-        // Classical Gram-Schmidt would lose orthogonality here.
+        // Classical Gram-Schmidt would lose orthogonality here; MGS with
+        // its reorthogonalization pass keeps both columns.
         let e = 1e-10;
-        let a = DenseMatrix::from_cols(&[
+        let mut a = DenseMatrix::from_cols(&[
             vec![1.0, e, 0.0],
             vec![1.0, 0.0, e],
         ])
         .unwrap();
-        let Qr { q, .. } = householder_qr(&a).unwrap();
-        assert_orthonormal(&q, 1e-10);
+        let kept = mgs_orthonormalize(&mut a);
+        assert_eq!(kept, vec![true, true]);
+        assert_orthonormal(&a, 1e-10);
     }
 }

@@ -33,13 +33,6 @@ impl Svd {
         self.s.len()
     }
 
-    /// Numerical rank: number of singular values above
-    /// `tol * sigma_1`.
-    pub fn numerical_rank(&self, tol: f64) -> usize {
-        let cutoff = self.s.first().copied().unwrap_or(0.0) * tol;
-        self.s.iter().take_while(|&&x| x > cutoff).count()
-    }
-
     /// Reconstruct the (possibly truncated) matrix `U diag(s) V^T`.
     pub fn reconstruct(&self) -> Result<DenseMatrix> {
         crate::ops::reconstruct(&self.u, &self.s, &self.v)
@@ -107,14 +100,6 @@ mod tests {
         // ||A - A_1||_F = sqrt(3^2 + 2^2).
         assert!((svd.truncation_error_fro(1) - (13.0f64).sqrt()).abs() < 1e-12);
         assert!(svd.truncation_error_fro(3) < 1e-12);
-    }
-
-    #[test]
-    fn numerical_rank_thresholds() {
-        let svd = example();
-        assert_eq!(svd.numerical_rank(1e-10), 3);
-        assert_eq!(svd.numerical_rank(0.6), 2); // 4.0 and 3.0 exceed 0.6*4.0 = 2.4
-        assert_eq!(svd.numerical_rank(0.8), 1); // only 4.0 exceeds 0.8*4.0 = 3.2
     }
 
     #[test]

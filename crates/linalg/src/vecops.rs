@@ -47,43 +47,6 @@ pub fn nrm2(x: &[f64]) -> f64 {
     scale * ssq.sqrt()
 }
 
-/// Dot product `x · y` over `f32` slices.
-///
-/// Eight accumulation lanes instead of [`dot`]'s four: f32 packs twice
-/// as many elements per vector register, so the wider unroll keeps the
-/// autovectorized loop saturated without relying on float
-/// re-association being legal.
-///
-/// # Panics
-/// Panics in debug builds if the slices differ in length.
-#[inline]
-pub fn dot_f32(x: &[f32], y: &[f32]) -> f32 {
-    debug_assert_eq!(x.len(), y.len());
-    let mut acc = [0.0f32; 8];
-    let chunks = x.len() / 8;
-    for c in 0..chunks {
-        let i = 8 * c;
-        for l in 0..8 {
-            acc[l] += x[i + l] * y[i + l];
-        }
-    }
-    let mut tail = 0.0f32;
-    for i in 8 * chunks..x.len() {
-        tail += x[i] * y[i];
-    }
-    let head = (acc[0] + acc[1]) + (acc[2] + acc[3]) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
-    head + tail
-}
-
-/// `y += alpha * x` over `f32` slices.
-#[inline]
-pub fn axpy_f32(alpha: f32, x: &[f32], y: &mut [f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, xi) in y.iter_mut().zip(x.iter()) {
-        *yi += alpha * xi;
-    }
-}
-
 /// `y += alpha * x`.
 #[inline]
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
@@ -166,27 +129,6 @@ mod tests {
     #[test]
     fn dot_empty_is_zero() {
         assert_eq!(dot(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn dot_f32_matches_f64_reference_on_small_inputs() {
-        let x: Vec<f32> = (0..37).map(|i| (i as f32) * 0.25 - 4.0).collect();
-        let y: Vec<f32> = (0..37).map(|i| 1.0 - (i as f32) * 0.125).collect();
-        let reference: f64 = x
-            .iter()
-            .zip(y.iter())
-            .map(|(&a, &b)| a as f64 * b as f64)
-            .sum();
-        assert!((dot_f32(&x, &y) as f64 - reference).abs() < 1e-3);
-        assert_eq!(dot_f32(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn axpy_f32_updates_in_place() {
-        let x = [1.0f32, 2.0];
-        let mut y = [10.0f32, 20.0];
-        axpy_f32(2.0, &x, &mut y);
-        assert_eq!(y, [12.0, 24.0]);
     }
 
     #[test]

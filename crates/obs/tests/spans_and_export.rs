@@ -181,10 +181,17 @@ fn run_report_round_trips_through_json_text() {
         metrics.get("counters").unwrap().get("query.count").unwrap().as_f64(),
         Some(1.0)
     );
-    assert_eq!(
-        parsed.get("meta").unwrap().get("git_sha").unwrap().as_str().map(str::len),
-        Some(40)
-    );
+    // The sha is recorded only where there is a checkout to read it
+    // from; a source export without `.git` omits the key.
+    let meta_sha = parsed.get("meta").unwrap().get("git_sha");
+    match lsi_obs::git_sha() {
+        Some(sha) => {
+            assert_eq!(meta_sha.and_then(Json::as_str), Some(sha.as_str()));
+            assert_eq!(sha.len(), 40);
+            assert!(sha.bytes().all(|b| b.is_ascii_hexdigit()), "{sha}");
+        }
+        None => assert!(meta_sha.is_none()),
+    }
 }
 
 #[test]

@@ -65,11 +65,6 @@ impl CooMatrix {
         self.ncols
     }
 
-    /// Number of stored triplets (before duplicate summing).
-    pub fn triplet_count(&self) -> usize {
-        self.vals.len()
-    }
-
     /// Iterate over `(row, col, value)` triplets.
     pub fn triplets(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         self.rows
@@ -146,7 +141,7 @@ mod tests {
         let mut m = CooMatrix::new(2, 3);
         m.push(0, 0, 1.0).unwrap();
         m.push(1, 2, 2.0).unwrap();
-        assert_eq!(m.triplet_count(), 2);
+        assert_eq!(m.triplets().count(), 2);
         assert_eq!(m.nrows(), 2);
         assert_eq!(m.ncols(), 3);
     }

@@ -13,9 +13,6 @@
 //! * [`ops`] — the [`MatVec`] operator trait and [`ops::DualFormat`],
 //!   which serves the Lanczos `A·x` and `Aᵀ·x` from `Aᵀ` and `A` through
 //!   the same parallel gather,
-//! * [`io`] — MatrixMarket coordinate-format reader/writer,
-//! * [`hb`] — Harwell–Boeing `RUA` reader/writer (SVDPACKC's native
-//!   format, the paper's reference \[4\]),
 //! * [`gen`] — random sparse generators used by the TREC-scale
 //!   experiments,
 //! * [`stats`] — density/nnz diagnostics reported by the benchmarks.
@@ -28,8 +25,6 @@
 pub mod coo;
 pub mod csc;
 pub mod gen;
-pub mod hb;
-pub mod io;
 pub mod ops;
 pub mod spans;
 pub mod stats;
@@ -63,7 +58,7 @@ pub use spans::nnz_balanced_spans;
 /// demanded megabyte-scale matrices.
 pub const PAR_NNZ_THRESHOLD: usize = 1 << 17;
 
-/// Errors reported by sparse-matrix construction and I/O.
+/// Errors reported by sparse-matrix construction and kernels.
 #[derive(Debug)]
 pub enum Error {
     /// An index was out of bounds for the declared shape.
@@ -80,15 +75,6 @@ pub enum Error {
         /// Human-readable description.
         context: String,
     },
-    /// A MatrixMarket stream could not be parsed.
-    Parse {
-        /// Line number (1-based) where parsing failed.
-        line: usize,
-        /// What went wrong.
-        message: String,
-    },
-    /// Underlying I/O failure.
-    Io(std::io::Error),
 }
 
 impl std::fmt::Display for Error {
@@ -98,19 +84,11 @@ impl std::fmt::Display for Error {
                 write!(f, "index ({row}, {col}) out of bounds for {}x{}", shape.0, shape.1)
             }
             Error::DimensionMismatch { context } => write!(f, "dimension mismatch: {context}"),
-            Error::Parse { line, message } => write!(f, "parse error at line {line}: {message}"),
-            Error::Io(e) => write!(f, "I/O error: {e}"),
         }
     }
 }
 
 impl std::error::Error for Error {}
-
-impl From<std::io::Error> for Error {
-    fn from(e: std::io::Error) -> Self {
-        Error::Io(e)
-    }
-}
 
 /// Result alias for this crate.
 pub type Result<T> = std::result::Result<T, Error>;
@@ -127,13 +105,6 @@ mod tests {
             shape: (3, 3),
         };
         assert!(e.to_string().contains("(7, 2)"));
-        let e = Error::Parse {
-            line: 12,
-            message: "bad header".into(),
-        };
-        assert!(e.to_string().contains("line 12"));
-        let e: Error = std::io::Error::new(std::io::ErrorKind::NotFound, "gone").into();
-        assert!(e.to_string().contains("gone"));
     }
 }
 

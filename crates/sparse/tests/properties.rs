@@ -102,17 +102,6 @@ proptest! {
     }
 
     #[test]
-    fn matrix_market_roundtrip(coo in coo_strategy()) {
-        let csc = coo.to_csc();
-        let mut buf = Vec::new();
-        lsi_sparse::io::write_matrix_market(&csc, &mut buf).unwrap();
-        let back = lsi_sparse::io::read_matrix_market(std::io::Cursor::new(buf))
-            .unwrap()
-            .to_csc();
-        prop_assert!(back.to_dense().fro_distance(&csc.to_dense()).unwrap() < 1e-12);
-    }
-
-    #[test]
     fn trait_object_consistency(coo in coo_strategy()) {
         // MatVec::apply through the trait equals the inherent method.
         let csc = coo.to_csc();

@@ -11,9 +11,8 @@
 //! then `w -= Q y`) is used instead of `las2`'s selective scheme: at
 //! the scales exercised here the `O(I² · dim)` cost is small next to
 //! the sparse products, and it eliminates spurious duplicate Ritz
-//! values entirely. The `perf_kernels` rows `lanczos_k50_secs`,
-//! `lanczos_periodic4_k50_secs` and `lanczos_three_term_k50_secs`
-//! quantify that trade-off.
+//! values entirely. The `perf_kernels` rows `lanczos_k50_secs` and
+//! `lanczos_three_term_k50_secs` quantify that trade-off.
 //! Ritz vectors are assembled with one blocked GEMM (`Y = Q S`), and
 //! the report carries per-phase flop and wall-time accounting.
 //!
@@ -45,11 +44,11 @@ use crate::{Error, Result};
 /// In exact arithmetic the three-term recurrence keeps the basis
 /// orthogonal by itself; in floating point it famously does not
 /// (spurious duplicate Ritz values appear as soon as a triplet
-/// converges). The strategies trade the `O(I² · dim)` cleanup cost
-/// against that risk — `perf_kernels` times all three on one matrix
-/// (`lanczos_k50_secs`, `lanczos_periodic4_k50_secs`,
-/// `lanczos_three_term_k50_secs`), and the duplicate-Ritz pathology of `ThreeTermOnly` is
-/// demonstrated in this module's tests.
+/// converges). The two strategies trade the `O(I² · dim)` cleanup cost
+/// against that risk — `perf_kernels` times both on one matrix
+/// (`lanczos_k50_secs`, `lanczos_three_term_k50_secs`), and the
+/// duplicate-Ritz pathology of `ThreeTermOnly` is demonstrated in this
+/// module's tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Reorth {
     /// Two classical Gram–Schmidt panel passes against the whole basis
@@ -57,13 +56,6 @@ pub enum Reorth {
     /// reorthogonalization).
     #[default]
     Full,
-    /// Reorthogonalize only every `n`-th step (plus the recurrence's
-    /// own two-term correction on other steps); for `n > 1` each sweep
-    /// takes the robust two-pass path, because the basis drifts between
-    /// sweeps. Not a cheaper `Full`: on `perf_kernels`'s trec_like(20)
-    /// matrix at k = 50 `Periodic(4)` took 0.136 s against 0.073 s for
-    /// `Full` (BENCH_kernels.json `svd_ablation`). Kept for the ablation.
-    Periodic(usize),
     /// The bare three-term recurrence. Fast and *unreliable* beyond a
     /// few dozen steps — present for the ablation, not for use.
     ThreeTermOnly,
@@ -295,23 +287,6 @@ pub fn lanczos_svd<M: MatVec + ?Sized>(
                 reorth_stats.add(cgs2_flops(j + 1), t0.elapsed().as_secs_f64());
                 b
             }
-            Reorth::Periodic(n) => {
-                if n != 0 && j % n == n - 1 {
-                    // Period 1 never lets the basis drift, so it shares
-                    // Full's adaptive path (and stays bit-identical to
-                    // it). Sparser periods drift between sweeps, where
-                    // the single-pass DGKS shortcut is not sound.
-                    let b = if n == 1 {
-                        orthogonalize_against(&basis, j + 1, &mut w)
-                    } else {
-                        orthogonalize_against_robust(&basis, j + 1, &mut w)
-                    };
-                    reorth_stats.add(cgs2_flops(j + 1), t0.elapsed().as_secs_f64());
-                    b
-                } else {
-                    vecops::nrm2(&w)
-                }
-            }
             Reorth::ThreeTermOnly => vecops::nrm2(&w),
         };
         if !beta.is_finite() {
@@ -338,8 +313,8 @@ pub fn lanczos_svd<M: MatVec + ?Sized>(
                     let t0 = Instant::now();
                     // A restart vector is random, so most of it lies in
                     // the basis's span; use the robust variant (the
-                    // basis may also have drifted under sparse
-                    // reorthogonalization policies).
+                    // basis may also have drifted under
+                    // `Reorth::ThreeTermOnly`).
                     let rem = orthogonalize_against_robust(&basis, steps, &mut fresh);
                     reorth_stats.add(cgs2_flops(steps), t0.elapsed().as_secs_f64());
                     if rem > 1e-8 {
@@ -635,67 +610,6 @@ mod tests {
         for &sv in &svd.s {
             assert!((sv - 2.0).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn periodic_every_step_is_exactly_full() {
-        let a = random_term_doc(80, 60, 0.08, RowProfile::Zipf { s: 1.0 }, 3, 12);
-        let full = lanczos_svd(&a, 6, &LanczosOptions::default()).unwrap().0;
-        let every = lanczos_svd(
-            &a,
-            6,
-            &LanczosOptions {
-                reorth: Reorth::Periodic(1),
-                ..Default::default()
-            },
-        )
-        .unwrap()
-        .0;
-        assert_eq!(full.s, every.s);
-    }
-
-    #[test]
-    fn sparse_periodic_reorth_admits_ghost_ritz_values() {
-        // The ablation's point: reorthogonalizing only every 4th step on
-        // a matrix with a dominant singular value lets ghost copies of
-        // sigma_1 re-enter the basis. The extreme value itself is still
-        // computed correctly; the *interior* values are what ghosting
-        // corrupts.
-        let a = random_term_doc(80, 60, 0.08, RowProfile::Zipf { s: 1.0 }, 3, 12);
-        let full = lanczos_svd(&a, 6, &LanczosOptions::default()).unwrap().0;
-        let periodic = lanczos_svd(
-            &a,
-            6,
-            &LanczosOptions {
-                reorth: Reorth::Periodic(4),
-                ..Default::default()
-            },
-        )
-        .unwrap()
-        .0;
-        // sigma_1 agrees...
-        assert!((full.s[0] - periodic.s[0]).abs() < 1e-6 * full.s[0]);
-        // ...and the sparse-reorth spectrum contains a ghost: some value
-        // duplicates sigma_1 where the full-reorth spectrum has a gap.
-        let ghosts = periodic
-            .s
-            .iter()
-            .skip(1)
-            .filter(|&&s| (s - full.s[0]).abs() < 1e-6 * full.s[0])
-            .count();
-        let true_dups = full
-            .s
-            .iter()
-            .skip(1)
-            .filter(|&&s| (s - full.s[0]).abs() < 1e-6 * full.s[0])
-            .count();
-        assert!(
-            ghosts > true_dups,
-            "expected ghost Ritz values under sparse reorthogonalization \
-             (periodic spectrum {:?} vs full {:?})",
-            periodic.s,
-            full.s
-        );
     }
 
     #[test]

@@ -74,35 +74,6 @@ impl Corpus {
     pub fn texts(&self) -> impl Iterator<Item = &str> {
         self.docs.iter().map(|d| d.text.as_str())
     }
-
-    /// Split one long text into paragraph documents (blank-line
-    /// separated), ids `{prefix}-p1`, `{prefix}-p2`, ... — the paper's
-    /// §5.4: "smaller, more topically coherent units of text (e.g.,
-    /// paragraphs, sections) could be represented as well."
-    pub fn from_paragraphs(prefix: &str, text: &str) -> Corpus {
-        let mut docs = Vec::new();
-        let mut current = String::new();
-        let flush = |current: &mut String, docs: &mut Vec<Document>| {
-            let trimmed = current.trim();
-            if !trimmed.is_empty() {
-                docs.push(Document::new(
-                    format!("{prefix}-p{}", docs.len() + 1),
-                    trimmed.to_string(),
-                ));
-            }
-            current.clear();
-        };
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                flush(&mut current, &mut docs);
-            } else {
-                current.push_str(line);
-                current.push(' ');
-            }
-        }
-        flush(&mut current, &mut docs);
-        Corpus { docs }
-    }
 }
 
 #[cfg(test)]
@@ -122,24 +93,6 @@ mod tests {
         let c = Corpus::from_pairs([("a", "x"), ("b", "y")]);
         assert_eq!(c.index_of("b"), Some(1));
         assert_eq!(c.index_of("zzz"), None);
-    }
-
-    #[test]
-    fn from_paragraphs_splits_on_blank_lines() {
-        let text = "first paragraph line one\nline two\n\n\nsecond paragraph\n\nthird";
-        let c = Corpus::from_paragraphs("doc", text);
-        assert_eq!(c.len(), 3);
-        assert_eq!(c.docs[0].id, "doc-p1");
-        assert_eq!(c.docs[0].text, "first paragraph line one line two");
-        assert_eq!(c.docs[2].text, "third");
-    }
-
-    #[test]
-    fn from_paragraphs_handles_edges() {
-        assert!(Corpus::from_paragraphs("x", "").is_empty());
-        assert!(Corpus::from_paragraphs("x", "\n \n\t\n").is_empty());
-        let c = Corpus::from_paragraphs("x", "only one");
-        assert_eq!(c.len(), 1);
     }
 
     #[test]

@@ -27,14 +27,6 @@ pub fn tokenize(text: &str) -> Vec<String> {
     tokens
 }
 
-/// Tokenize and drop tokens shorter than `min_len` characters.
-pub fn tokenize_min_len(text: &str, min_len: usize) -> Vec<String> {
-    tokenize(text)
-        .into_iter()
-        .filter(|t| t.chars().count() >= min_len)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,10 +65,5 @@ mod tests {
     #[test]
     fn unicode_is_handled() {
         assert_eq!(tokenize("naïve Σigma"), vec!["naïve", "σigma"]);
-    }
-
-    #[test]
-    fn min_len_filter() {
-        assert_eq!(tokenize_min_len("a bb ccc dddd", 3), vec!["ccc", "dddd"]);
     }
 }

@@ -27,8 +27,7 @@ out=$(./target/release/perf_kernels --quick)
 for key in \
     gemm_nn_256_gflops gemm_tn_256_gflops gemm_nn_512_gflops \
     gemm_nn_tall_gflops lanczos_k50_secs lanczos_k50_steps \
-    randomized_q2_k50_secs randomized_q0_k50_secs \
-    lanczos_periodic4_k50_secs lanczos_three_term_k50_secs \
+    randomized_q2_k50_secs randomized_q0_k50_secs lanczos_three_term_k50_secs \
     query_single_qps query_batch_scoring_qps query_multi_facet_qps \
     git_sha '"metrics"' '"spans"'; do
   if ! grep -q -- "$key" <<<"$out"; then
@@ -95,9 +94,8 @@ echo "== smoke: fault injection (forced failpoints fire and are contained)"
 # degradation (SVD fallback ladder, delay actions), 1/2 for a typed
 # error, 70 for the CLI panic boundary. 101 (uncaught panic) or 134
 # (abort) is a hardening regression.
-# (The sparse.io.read failpoint has no CLI entry point; the fuzz_io
-# property tests cover it. pool.task is driven through `terms` — its
-# thesaurus sweep is the one pool dispatch with no size threshold.)
+# (pool.task is driven through `terms` — its thesaurus sweep is the one
+# pool dispatch with no size threshold.)
 fault_dir=$(mktemp -d)
 trap 'rm -rf "$fault_dir"' EXIT
 printf 'cars1\tcar engine wheel motor car\ncars2\tautomobile engine motor chassis\ncars3\tcar automobile driver wheel\nzoo1\telephant lion zebra elephant\nzoo2\tlion zebra giraffe elephant\nzoo3\tzebra giraffe lion safari\n' \

@@ -4,7 +4,6 @@
 
 use lsi_core::{LsiModel, LsiOptions};
 use lsi_corpora::{SyntheticCorpus, SyntheticOptions};
-use lsi_sparse::io::{read_matrix_market, write_matrix_market};
 use lsi_text::{Corpus, Document, ParsingRules, TermWeighting};
 
 fn options(k: usize) -> LsiOptions {
@@ -54,22 +53,6 @@ fn end_to_end_build_query_persist_reload() {
     let before = model.query(&gen.queries[0].text).unwrap();
     let after = restored.query(&gen.queries[0].text).unwrap();
     assert_eq!(before.ids(), after.ids());
-}
-
-#[test]
-fn weighted_matrix_roundtrips_through_matrix_market() {
-    let gen = corpus(2);
-    let (model, _) = LsiModel::build(&gen.corpus, &options(6)).unwrap();
-    let mut buf = Vec::new();
-    write_matrix_market(model.weighted_matrix(), &mut buf).unwrap();
-    let back = read_matrix_market(std::io::Cursor::new(buf)).unwrap().to_csc();
-    assert_eq!(back.shape(), model.weighted_matrix().shape());
-    assert!(
-        back.to_dense()
-            .fro_distance(&model.weighted_matrix().to_dense())
-            .unwrap()
-            < 1e-10
-    );
 }
 
 #[test]
