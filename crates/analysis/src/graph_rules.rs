@@ -11,10 +11,12 @@
 //! * `panic-reachability` — every `pub` library fn is classified by
 //!   whether it can transitively reach an `unwrap`/`expect`/`panic!`/
 //!   indexing site without passing a `catch_unwind` boundary, with a
-//!   shortest witness path in the message. The serve path
-//!   `handle_connection → query_top_batch_at` is a hard contract: panics
-//!   there must be contained by the batcher's documented
-//!   `catch_unwind`, so contract violations are errors.
+//!   shortest witness path in the message. Findings in lsi-core are
+//!   errors: its count reached zero, and the query path must stay
+//!   panic-free. The serve path `handle_connection → query_top_batch_at`
+//!   is a hard contract: panics there must be contained by the
+//!   batcher's documented `catch_unwind`, so contract violations are
+//!   errors too.
 //! * `unsafe-taint` — an `unsafe` block may only be reached through a
 //!   SAFETY-documented wrapper fn; undocumented wrappers are flagged at
 //!   the wrapper *and* at every call site that reaches them, and `pub
@@ -34,6 +36,10 @@ use crate::{Finding, Severity};
 /// `catch_unwind`: every route from `handle_connection` to it must pass
 /// that boundary.
 const SERVE_SCORING_ENTRY: &str = "query_top_batch_at";
+
+/// Library whose panic-reachable pub fns are errors rather than
+/// warnings: lsi-core, whose count reached zero.
+const PANIC_FREE_LIB: &str = "crates/core/";
 
 /// A workspace-level rule. Mirrors [`crate::rules::Rule`] but checks
 /// the parsed workspace and call graph instead of one file.
@@ -92,7 +98,8 @@ to callers. This rule propagates panic sites backwards over the call graph, \
 stopping at catch_unwind boundaries, and flags every pub library fn that can \
 still reach one — with a shortest witness path so the finding is actionable. \
 The warning tier tracks the explicit panic family (unwrap/expect/panic!/ \
-assert/unreachable/todo); slice indexing joins only for the serve contract, \
+assert/unreachable/todo); in lsi-core, whose count reached zero, the same \
+findings are errors. Slice indexing joins only for the serve contract, \
 because bounds-checked indexing is pervasive and intentional in the kernels. The serve path is a hard contract: \
 handle_connection must not reach any uncontained panic, and every route from \
 it to query_top_batch_at (the scoring entry the batcher calls) must pass through \
@@ -113,7 +120,8 @@ names under-approximate to no edge."
         let full = graph.panic_reach(ws);
         let mut findings = Vec::new();
 
-        // Warning tier: pub library fns that can reach a panic.
+        // Warning tier (error in lsi-core): pub library fns that can
+        // reach a panic.
         for (id, node) in graph.nodes.iter().enumerate() {
             let wf = &ws.files[node.file];
             let f = &wf.items.fns[node.item];
@@ -126,9 +134,14 @@ names under-approximate to no edge."
             {
                 continue;
             }
+            let severity = if wf.source.rel_path.starts_with(PANIC_FREE_LIB) {
+                Severity::Error
+            } else {
+                Severity::Warning
+            };
             findings.push(Finding {
                 rule: self.name(),
-                severity: Severity::Warning,
+                severity,
                 file: wf.source.rel_path.clone(),
                 line: f.line,
                 message: format!(

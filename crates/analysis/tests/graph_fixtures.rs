@@ -4,17 +4,24 @@
 //! the resolution and propagation semantics documented in DESIGN.md
 //! §3j.
 
+use std::path::Path;
+
 use lsi_analyze::graph::{CallGraph, Workspace};
 use lsi_analyze::graph_rules::graph_rule_by_name;
+use lsi_analyze::{compare, engine, Analysis, Baseline, Finding, Severity};
 
-/// Run one graph rule over an in-memory workspace, returning
-/// `(file, line)` hit pairs in finding order.
-fn hits(rule: &str, entries: &[(&str, &str)]) -> Vec<(String, usize)> {
+/// Run one graph rule over an in-memory workspace.
+fn findings(rule: &str, entries: &[(&str, &str)]) -> Vec<Finding> {
     let ws = Workspace::from_sources(entries);
     let graph = CallGraph::build(&ws);
     graph_rule_by_name(rule)
         .expect("graph rule exists")
         .check(&ws, &graph)
+}
+
+/// `(file, line)` hit pairs of one graph rule, in finding order.
+fn hits(rule: &str, entries: &[(&str, &str)]) -> Vec<(String, usize)> {
+    findings(rule, entries)
         .into_iter()
         .map(|f| (f.file, f.line))
         .collect()
@@ -53,6 +60,30 @@ fn pub_fn_reaching_unwrap_transitively_fires() {
         msgs[0].contains("api") && msgs[0].contains("inner") && msgs[0].contains(".unwrap()"),
         "witness path names the hop and the site: {msgs:?}"
     );
+}
+
+#[test]
+fn core_pub_fn_reaching_unwrap_is_an_error_that_fails_ci() {
+    let src = "pub fn api(v: Option<u8>) -> u8 {\n    inner(v)\n}\n\
+               fn inner(v: Option<u8>) -> u8 {\n    v.unwrap()\n}\n";
+    let core = "crates/core/src/query.rs";
+    let found = findings("panic-reachability", &[(core, src)]);
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert_eq!(found[0].severity, Severity::Error, "{found:?}");
+    // `lsi-analyze --ci` exits 1 on any pair above the committed
+    // baseline, and that baseline allows lsi-core no such finding.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let baseline = Baseline::load(&root.join(engine::BASELINE_FILE)).expect("baseline parses");
+    let analysis = Analysis {
+        findings: found,
+        ..Analysis::default()
+    };
+    let over = compare(&analysis, &baseline).over;
+    assert_eq!(over.len(), 1, "{over:?}");
+    assert_eq!((over[0].rule.as_str(), over[0].file.as_str()), ("panic-reachability", core));
+    // Outside lsi-core the same path stays a warning.
+    let apps = findings("panic-reachability", &[("crates/apps/src/lib.rs", src)]);
+    assert_eq!(apps[0].severity, Severity::Warning, "{apps:?}");
 }
 
 #[test]

@@ -244,8 +244,10 @@ pub struct ServeParams {
 
 /// `lsi serve`: load the model once, bind, announce the address on
 /// stdout (flushed, so wrappers can scrape the port before the first
-/// request), then serve until SIGTERM/SIGINT. The returned report —
-/// the command's stdout — is the final serving `RunReport`.
+/// request), then serve until SIGTERM/SIGINT. Nothing is trained
+/// before the bind: the degradation ladder builds what its rungs need
+/// on a thread of its own, on its first escalation. The returned
+/// report — the command's stdout — is the final serving `RunReport`.
 pub fn cmd_serve(db: &str, params: &ServeParams) -> Result<String> {
     let mut model = load_model(db)?;
     if let Some(p) = &params.precision {
@@ -253,12 +255,6 @@ pub fn cmd_serve(db: &str, params: &ServeParams) -> Result<String> {
     }
     if let Some(n) = params.nprobe {
         apply_nprobe(&mut model, n)?;
-    }
-    if params.degrade {
-        // The degradation ladder falls back to cluster-pruned probes
-        // under load; train the index up front so the first overloaded
-        // batch does not pay the k-means build.
-        model.train_index()?;
     }
     let server = lsi_serve::Server::bind(lsi_serve::ServeConfig {
         addr: params.addr.clone(),

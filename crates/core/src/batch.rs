@@ -8,13 +8,23 @@
 //! own projection, its own probed lists (never unioned across the
 //! batch), its own top-`z` selection, its own query-log record, and its
 //! own error: a batch is a scheduling unit, not a failure domain.
+//!
+//! A batch runs under a [`BatchPlan`]: the model's own policy and
+//! precision, or one rung of the serving daemon's degradation ladder.
+//! The rungs probe a cluster index and sweep an f32 replica of `V`;
+//! when the model has neither, [`LsiModel::build_rungs`] builds them
+//! as one [`Rungs`] bundle from the model's own data, without
+//! mutating it, so the daemon can build it on a thread of its own
+//! while the same model keeps serving.
 
 use std::time::Instant;
 
+use crate::compressed::{CompressedStore, Precision};
+use crate::index::ClusterIndex;
 use crate::model::LsiModel;
-use crate::query::{Ask, RankedList};
+use crate::query::{Ask, Probe, RankedList};
 use crate::querylog::{self, Record, RequestCtx};
-use crate::Result;
+use crate::{Error, Result};
 
 /// One query in a coalesced scoring batch.
 #[derive(Debug)]
@@ -28,22 +38,75 @@ pub struct BatchQuery {
     pub ctx: Option<RequestCtx>,
 }
 
+/// The degradation ladder's artifacts that a model may lack: a cluster
+/// index for the pruned rungs to probe (absent when the model has its
+/// own) and an f32 replica of `V` for the compressed rungs to sweep
+/// (absent when the model's precision is already reduced). Built by
+/// [`LsiModel::build_rungs`]; used through [`BatchPlan::rungs`].
+#[derive(Debug)]
+pub struct Rungs {
+    index: Option<ClusterIndex>,
+    f32: Option<CompressedStore>,
+    /// `(n_docs, k)` of the model the artifacts were built from.
+    shape: (usize, usize),
+}
+
+/// The plan a batch is ranked under. The default is the model's own
+/// index policy and precision; the serving ladder's rungs override the
+/// probe depth and the sweep.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BatchPlan<'a> {
+    /// Probe-depth override: `Some(n)` routes every query through the
+    /// cluster index (the model's own, else the one in `rungs`) at
+    /// depth `n` whatever the persisted [`crate::IndexPolicy`]; `None`
+    /// follows the policy. Without any index, all rows are scanned.
+    pub nprobe: Option<usize>,
+    /// Sweep through the f32 replica in `rungs` when the model's own
+    /// precision is exact. A model of reduced precision always sweeps
+    /// its own replica.
+    pub f32: bool,
+    /// Artifacts [`LsiModel::build_rungs`] built from this model.
+    pub rungs: Option<&'a Rungs>,
+}
+
 impl LsiModel {
     /// Serve a batch of queries under the model's index policy, one
     /// `Result` per query in input order (see
     /// [`LsiModel::query_top_batch_at`]).
     pub fn query_top_batch(&self, batch: Vec<BatchQuery>) -> Vec<Result<RankedList>> {
-        self.query_top_batch_at(batch, None)
+        self.query_top_batch_at(batch, BatchPlan::default())
     }
 
-    /// Serve a batch of queries, one `Result` per query in input order,
-    /// with a per-call probe-depth override: `Some(n)` routes every
-    /// query through the trained cluster index at depth `n` regardless
-    /// of the persisted [`crate::IndexPolicy`] (the serve degradation
-    /// ladder narrows probe depth under pressure without mutating the
-    /// model), `None` follows the policy. Without a trained index an
-    /// override scans all rows — [`LsiModel::train_index`] prepares the
-    /// index up front.
+    /// Build the degradation ladder's missing artifacts ([`Rungs`]):
+    /// the cluster index unless the model already has one, and the f32
+    /// replica of `V` unless the model's precision is already reduced.
+    /// Reads the model's `V` and document norms and changes nothing, so
+    /// it can run on another thread while this model serves. The
+    /// artifacts are the ones [`LsiModel::train_index`] and
+    /// `set_precision(Precision::F32)` would install, bit for bit.
+    pub fn build_rungs(&self) -> Result<Rungs> {
+        let index = match self.index {
+            Some(_) => None,
+            None => Some(ClusterIndex::build(&self.v, &self.doc_norms)?),
+        };
+        let f32 = match self.precision {
+            Precision::Exact => CompressedStore::build(Precision::F32, &self.v, &self.doc_norms),
+            Precision::F32 | Precision::I8 => None,
+        };
+        Ok(Rungs {
+            index,
+            f32,
+            shape: (self.n_docs(), self.k()),
+        })
+    }
+
+    /// Serve a batch of queries under `plan`, one `Result` per query in
+    /// input order. The default plan follows the model's own policy and
+    /// precision; the serving ladder's rungs route every query through
+    /// a cluster index at their probe depth and sweep an f32 replica,
+    /// taking whichever of the two the model lacks from the plan's
+    /// [`Rungs`], so no rung mutates the model. Rungs built from a model
+    /// of another shape fail every query with [`Error::Inconsistent`].
     ///
     /// The whole batch runs through the scoring executor as one block.
     /// A batch narrower than [`lsi_linalg::ops::GEMM_MIN_COLS_THRESHOLD`]
@@ -61,12 +124,20 @@ impl LsiModel {
     pub fn query_top_batch_at(
         &self,
         batch: Vec<BatchQuery>,
-        nprobe: Option<usize>,
+        plan: BatchPlan<'_>,
     ) -> Vec<Result<RankedList>> {
         let _span = lsi_obs::span("query");
         let t0 = Instant::now();
         let m = batch.len();
         lsi_obs::observe("query.batch.size", m as f64);
+        let (probe, store) = match self.resolve_plan(plan) {
+            Ok(parts) => parts,
+            Err(context) => {
+                return (0..m)
+                    .map(|_| Err(Error::Inconsistent { context: context.clone() }))
+                    .collect();
+            }
+        };
         // Projection is per query (and can fail per query).
         let mut results: Vec<Result<RankedList>> = Vec::with_capacity(m);
         let (mut ok, mut recs) = (Vec::new(), Vec::new());
@@ -95,7 +166,6 @@ impl LsiModel {
                 z,
             })
             .collect();
-        let (probe, store) = (self.probe_plan(nprobe), self.compressed.as_ref());
         let served: Vec<Result<RankedList>> = match self.rank_top(&asks, probe, store, &mut recs) {
             Ok(lists) => lists.into_iter().map(Ok).collect(),
             Err(e) if asks.len() == 1 => vec![Err(e)],
@@ -114,6 +184,35 @@ impl LsiModel {
             results[slot] = result;
         }
         results
+    }
+
+    /// The executor's probe plan and compressed store for `plan`: the
+    /// model's own index and replica where it has them, the plan's
+    /// rungs' otherwise. Rungs of another shape are refused with the
+    /// reason.
+    fn resolve_plan<'a>(
+        &'a self,
+        plan: BatchPlan<'a>,
+    ) -> std::result::Result<(Option<Probe<'a>>, Option<&'a CompressedStore>), String> {
+        let rungs = match plan.rungs {
+            Some(r) if r.shape != (self.n_docs(), self.k()) => {
+                return Err(format!(
+                    "rung artifacts built for {} docs x {} factors, model has {} x {}",
+                    r.shape.0,
+                    r.shape.1,
+                    self.n_docs(),
+                    self.k()
+                ))
+            }
+            r => r,
+        };
+        let probe = self.probe_plan(plan.nprobe, rungs.and_then(|r| r.index.as_ref()));
+        let store = match (&self.compressed, rungs) {
+            (Some(own), _) => Some(own),
+            (None, Some(r)) if plan.f32 => r.f32.as_ref(),
+            (None, _) => None,
+        };
+        Ok((probe, store))
     }
 }
 
@@ -221,8 +320,12 @@ mod tests {
         assert!(matches!(m.index_policy(), IndexPolicy::Exact));
         assert!(m.index_n_lists().is_some());
         let exact = m.query_top("car motor", 3).unwrap();
+        let depth = |n| BatchPlan {
+            nprobe: Some(n),
+            ..BatchPlan::default()
+        };
         let full_depth = m
-            .query_top_batch_at(vec![q("car motor", 3)], Some(m.index_n_lists().unwrap()))
+            .query_top_batch_at(vec![q("car motor", 3)], depth(m.index_n_lists().unwrap()))
             .remove(0)
             .unwrap();
         for (a, b) in full_depth.matches.iter().zip(exact.matches.iter()) {
@@ -231,7 +334,7 @@ mod tests {
         }
         // A narrowed probe still serves (possibly fewer survivors).
         let narrowed = m
-            .query_top_batch_at(vec![q("car motor", 3)], Some(1))
+            .query_top_batch_at(vec![q("car motor", 3)], depth(1))
             .remove(0)
             .unwrap();
         assert!(!narrowed.matches.is_empty());

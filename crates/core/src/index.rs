@@ -149,6 +149,7 @@ impl ClusterIndex {
     /// k-means++ seeding, blocked-GEMM Lloyd refinement with
     /// lowest-id tie-breaks, early exit once assignments stabilize.
     pub(crate) fn build(v: &DenseMatrix, doc_norms: &[f64]) -> Result<Self> {
+        let _span = lsi_obs::span("index.train");
         let n = v.nrows();
         let k = v.ncols();
         let n_lists = default_n_lists(n);

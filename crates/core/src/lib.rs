@@ -64,7 +64,7 @@ pub mod query;
 pub mod querylog;
 pub mod update;
 
-pub use batch::BatchQuery;
+pub use batch::{BatchPlan, BatchQuery, Rungs};
 pub use compressed::Precision;
 pub use index::{IndexPolicy, DEFAULT_NPROBE, INDEX_RECLUSTER_THRESHOLD};
 pub use model::{LsiModel, LsiOptions};

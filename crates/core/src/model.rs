@@ -282,15 +282,13 @@ impl LsiModel {
     }
 
     /// Train the cluster index without changing the retrieval policy:
-    /// queries keep following [`LsiModel::index_policy`], but the
-    /// per-call probe-depth override
-    /// ([`LsiModel::query_top_batch_at`]) can now route through the index.
-    /// This is how `lsi serve` prepares its degradation ladder at
-    /// startup — an `Exact`-policy model serves exact at nominal load
-    /// and degrades to pruned sweeps under pressure without paying a
-    /// mid-serve training stall. No-op when an index is already
+    /// queries keep following [`LsiModel::index_policy`], but a
+    /// probe-depth override ([`crate::BatchPlan::nprobe`]) can now
+    /// route through the index. No-op when an index is already
     /// trained. The index is not persisted unless the policy is
-    /// `Pruned` (an `Exact` save drops it on reload).
+    /// `Pruned` (an `Exact` save drops it on reload). A model shared
+    /// while it serves gets the same index without being mutated, in a
+    /// [`crate::Rungs`] bundle ([`LsiModel::build_rungs`]).
     pub fn train_index(&mut self) -> Result<()> {
         if self.index.is_none() {
             self.index = Some(ClusterIndex::build(&self.v, &self.doc_norms)?);

@@ -450,20 +450,24 @@ impl LsiModel {
             z,
         };
         let store = self.compressed.as_ref();
-        self.rank_one(&ask, self.probe_plan(None), store, &mut Record::off())
+        self.rank_one(&ask, self.probe_plan(None, None), store, &mut Record::off())
     }
 
-    /// The probe plan a top-`z` ranking runs under: depth `nprobe` (the
-    /// serving ladder's per-call override) or the persisted
-    /// [`IndexPolicy`]'s, against the trained cluster index. Without a
-    /// trained index every ranking scans all rows —
-    /// [`LsiModel::train_index`] prepares one up front for overrides.
-    pub(crate) fn probe_plan(&self, nprobe: Option<usize>) -> Option<Probe<'_>> {
+    /// The probe plan a top-`z` ranking runs under: depth `nprobe` (a
+    /// serving rung's override) or the persisted [`IndexPolicy`]'s,
+    /// against the model's own cluster index, else `built` (one
+    /// [`LsiModel::build_rungs`] trained). Without either index every
+    /// ranking scans all rows.
+    pub(crate) fn probe_plan<'a>(
+        &'a self,
+        nprobe: Option<usize>,
+        built: Option<&'a ClusterIndex>,
+    ) -> Option<Probe<'a>> {
         let nprobe = match (nprobe, self.index_policy) {
             (Some(n), _) | (None, IndexPolicy::Pruned { nprobe: n }) => n,
             (None, IndexPolicy::Exact) => return None,
         };
-        self.index.as_ref().map(|index| (index, nprobe))
+        self.index.as_ref().or(built).map(|index| (index, nprobe))
     }
 
     /// Query by free text: project and rank every document.
@@ -561,7 +565,7 @@ impl LsiModel {
         }
         let mut rows = Vec::with_capacity(asks.len());
         for (ask, rec) in asks.iter().zip(recs.iter_mut()) {
-            rec.str("precision", self.precision().name());
+            rec.str("precision", store.map_or(self.precision(), |s| s.precision()).name());
             rec.num("z", ask.z as f64);
             rows.push(match (ask.cols, probe) {
                 ([col], Some(probe)) => self.probe_rows(col, probe, ask.z, rec)?,

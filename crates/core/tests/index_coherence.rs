@@ -21,7 +21,7 @@
 
 use std::collections::HashSet;
 
-use lsi_core::{IndexPolicy, LsiModel, LsiOptions, Precision};
+use lsi_core::{BatchPlan, BatchQuery, IndexPolicy, LsiModel, LsiOptions, Precision, DEFAULT_NPROBE};
 use lsi_text::{Corpus, Document, ParsingRules, TermWeighting};
 
 const THEMES: [&[&str]; 4] = [
@@ -279,4 +279,82 @@ fn compressed_precisions_stay_coherent_under_mutation() {
         apply_mutation(&mut m, 4, 201, &mut state); // recompute
         assert_full_depth_coherent(&m, &random_queries(3, 0xC0DE), &format!("{precision:?}"));
     }
+}
+
+/// The serving ladder's rungs 1–3 over a [`lsi_core::Rungs`] bundle
+/// rank bit for bit as the same rungs over a model that trained its
+/// own index (`train_index`) and switched to the f32 replica
+/// (`set_precision`). Building the bundle leaves the model untouched.
+#[test]
+fn ladder_rungs_rank_like_a_trained_and_compressed_model() {
+    let corpus = random_corpus(300, 0x1D_C0_0007);
+    let base = build(&corpus, 8, 53);
+    let rungs = base.build_rungs().unwrap();
+    assert_eq!(base.index_n_lists(), None, "build_rungs must not train the model");
+    assert_eq!(base.precision(), Precision::Exact);
+    let mut trained = base.clone();
+    trained.train_index().unwrap();
+    let mut compressed = trained.clone();
+    compressed.set_precision(Precision::F32);
+    let texts = random_queries(20, 0xB0_B5);
+    let batch = |n: usize| -> Vec<BatchQuery> {
+        texts[..n]
+            .iter()
+            .map(|t| BatchQuery {
+                text: t.clone(),
+                z: 10,
+                ctx: None,
+            })
+            .collect()
+    };
+    // (level, probe depth, the parent's model for that level)
+    let half = (DEFAULT_NPROBE / 2).max(1);
+    for (level, nprobe, reference) in [
+        (1, DEFAULT_NPROBE, &trained),
+        (2, DEFAULT_NPROBE, &compressed),
+        (3, half, &compressed),
+    ] {
+        for width in [1, 3, texts.len()] {
+            let want = reference.query_top_batch_at(
+                batch(width),
+                BatchPlan {
+                    nprobe: Some(nprobe),
+                    ..BatchPlan::default()
+                },
+            );
+            let got = base.query_top_batch_at(
+                batch(width),
+                BatchPlan {
+                    nprobe: Some(nprobe),
+                    f32: level >= 2,
+                    rungs: Some(&rungs),
+                },
+            );
+            for (i, (w, g)) in want.into_iter().zip(got).enumerate() {
+                let ctx = format!("level {level}, batch of {width}, query {i}");
+                assert_bit_identical(&w.unwrap(), &g.unwrap(), &ctx);
+            }
+        }
+    }
+}
+
+#[test]
+fn rungs_of_another_model_are_a_typed_error() {
+    let small = build(&random_corpus(40, 0x1D_C0_0008), 4, 59);
+    let large = build(&random_corpus(90, 0x1D_C0_0009), 4, 61);
+    let rungs = small.build_rungs().unwrap();
+    let plan = BatchPlan {
+        nprobe: Some(2),
+        f32: true,
+        rungs: Some(&rungs),
+    };
+    let query = || {
+        vec![BatchQuery {
+            text: random_queries(1, 7).remove(0),
+            z: 5,
+            ctx: None,
+        }]
+    };
+    assert!(large.query_top_batch_at(query(), plan)[0].is_err());
+    assert!(small.query_top_batch_at(query(), plan)[0].is_ok());
 }

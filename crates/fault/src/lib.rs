@@ -74,6 +74,12 @@ pub mod points {
     /// boundary — same 500s, the batcher stays alive), and `delay-ms`
     /// (a slow batch, exercising per-request deadlines).
     pub const SERVE_BATCH: &str = "serve.batch";
+    /// On the serve ladder's builder thread, fired once before it
+    /// builds the rung artifacts. Honors `delay-ms` (holds the build
+    /// while the batcher keeps serving at level 0), `return-err` and
+    /// `panic` (the build fails: the rungs stay unavailable, the
+    /// failure is logged once, the daemon keeps serving).
+    pub const SERVE_LADDER_BUILD: &str = "serve.ladder.build";
 
     /// Every registered failpoint, for enumeration by smoke harnesses.
     pub const ALL: &[&str] = &[
@@ -85,6 +91,7 @@ pub mod points {
         SERVE_ACCEPT,
         SERVE_PARSE,
         SERVE_BATCH,
+        SERVE_LADDER_BUILD,
     ];
 }
 
@@ -455,7 +462,8 @@ mod tests {
     fn points_list_is_consistent() {
         assert!(points::ALL.contains(&points::SVD_LANCZOS_ITER));
         assert!(points::ALL.contains(&points::SERVE_BATCH));
-        assert_eq!(points::ALL.len(), 8);
+        assert!(points::ALL.contains(&points::SERVE_LADDER_BUILD));
+        assert_eq!(points::ALL.len(), 9);
         for name in points::ALL {
             // Names follow the span taxonomy: dotted lowercase.
             assert!(name.chars().all(|c| c.is_ascii_lowercase()

@@ -23,7 +23,9 @@
 //! 3. **Graceful degradation.** Under sustained queue pressure the
 //!    batcher walks a ladder — exact coalesced sweep → cluster-pruned
 //!    probes → compressed f32 sweep → narrowed probes — trading recall
-//!    for latency *before* shedding (see [`batcher`]).
+//!    for latency *before* shedding. What those rungs need is built on
+//!    a thread of its own at the first overload, never on the scoring
+//!    thread (see [`batcher`]).
 //! 4. **Containment.** Each connection is served under
 //!    `catch_unwind`: a panic (e.g. the `serve.batch` failpoint)
 //!    answers `500` and the worker keeps serving. SIGTERM/SIGINT stop

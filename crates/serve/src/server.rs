@@ -2,7 +2,9 @@
 //!
 //! Thread layout: the caller's thread runs the accept loop; `threads`
 //! workers each handle one connection at a time (keep-alive); one
-//! batcher thread owns the model and scores. Connections hand off
+//! batcher thread scores against the shared model, and the degradation
+//! ladder's first escalation starts one builder thread beside it
+//! (see [`batcher`]). Connections hand off
 //! through a bounded channel, queries through the bounded
 //! [`batcher::Queue`] — every stage sheds instead of queueing
 //! unboundedly.
@@ -89,7 +91,13 @@ pub struct Stats {
     pub batches: AtomicU64,
     pub batched_queries: AtomicU64,
     pub max_batch_seen: AtomicU64,
+    /// The ladder level whose plan the last batch ran.
     pub degrade_level: AtomicU64,
+    /// Whether the ladder's rung artifacts are built (levels 1–3 run
+    /// level 0's plan until they are).
+    pub ladder_ready: AtomicBool,
+    /// Wall time of the rung build in microseconds; 0 until it is done.
+    pub ladder_build_us: AtomicU64,
     /// End-to-end `/query` latency in microseconds for queries that
     /// entered the scoring queue (including timeouts; shed requests
     /// never wait and are excluded), log-bucketed so `/stats` can
@@ -118,6 +126,13 @@ impl Stats {
         self.degrade_level.store(level as u64, Ordering::Relaxed);
     }
 
+    pub(crate) fn set_ladder_built(&self, took: Duration) {
+        // Relaxed: monitoring values; the batcher installs the rungs
+        // it joined, not anything published through these stores.
+        self.ladder_build_us.store(took.as_micros() as u64, Ordering::Relaxed);
+        self.ladder_ready.store(true, Ordering::Relaxed);
+    }
+
     fn latency_json(&self) -> Json {
         let snap = self.latency_us.snapshot();
         Json::obj(vec![
@@ -143,6 +158,13 @@ impl Stats {
             ("batched_queries", num(&self.batched_queries)),
             ("max_batch_seen", num(&self.max_batch_seen)),
             ("degrade_level", num(&self.degrade_level)),
+            // Relaxed: monitoring snapshot, like `num`.
+            ("ladder_ready", Json::Bool(self.ladder_ready.load(Ordering::Relaxed))),
+            (
+                "ladder_build_ms",
+                // Relaxed: monitoring snapshot, like `num`.
+                Json::Num(self.ladder_build_us.load(Ordering::Relaxed) as f64 / 1e3),
+            ),
             ("queue_depth", Json::Num(backlog as f64)),
             ("draining", Json::Bool(draining)),
             ("latency_us", self.latency_json()),
@@ -229,7 +251,7 @@ impl Server {
 
     /// Serve until stopped, then drain and report. Blocks the calling
     /// thread (it becomes the accept loop).
-    pub fn run(self, mut model: LsiModel) -> RunReport {
+    pub fn run(self, model: LsiModel) -> RunReport {
         let Server {
             listener,
             local,
@@ -241,6 +263,7 @@ impl Server {
         if let Err(e) = listener.set_nonblocking(true) {
             lsi_obs::error!("serve: cannot set listener nonblocking: {e}");
         }
+        let model = Arc::new(model);
         let queue = Arc::new(Queue::new(cfg.queue_depth));
         let draining = Arc::new(AtomicBool::new(false));
         let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(ACCEPT_DEPTH);
@@ -266,9 +289,7 @@ impl Server {
             let max_batch = cfg.max_batch.max(1);
             std::thread::Builder::new()
                 .name("lsi-serve-batcher".to_string())
-                .spawn(move || {
-                    batcher::run(&mut model, &queue, max_batch, &stats, degrade);
-                })
+                .spawn(move || batcher::run(&model, &queue, max_batch, &stats, degrade))
         };
 
         // Accept loop.

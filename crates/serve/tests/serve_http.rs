@@ -6,10 +6,10 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use lsi_core::{LsiModel, LsiOptions};
-use lsi_obs::RunReport;
+use lsi_obs::{Json, RunReport};
 use lsi_serve::{ServeConfig, Server, Stats};
 use lsi_text::{Corpus, ParsingRules, TermWeighting};
 
@@ -156,6 +156,11 @@ fn endpoints_route_and_validate() {
         let v = lat.get(key).and_then(|v| v.as_f64()).unwrap_or(-1.0);
         assert!(v > 0.0, "latency {key} positive: {body}");
     }
+    // Nominal load never escalates, so the ladder's rungs were never
+    // built and every batch ran level 0's plan.
+    assert_eq!(stats.get("degrade_level").and_then(|v| v.as_f64()), Some(0.0), "{body}");
+    assert!(matches!(stats.get("ladder_ready"), Some(Json::Bool(false))), "{body}");
+    assert_eq!(stats.get("ladder_build_ms").and_then(|v| v.as_f64()), Some(0.0), "{body}");
 
     let report = srv.finish();
     let json = report.to_json().to_string_compact();
@@ -351,4 +356,112 @@ fn stop_drains_in_flight_requests_before_reporting() {
     assert_eq!(code, 200, "in-flight request dropped during drain: {body}");
     let json = report.to_json().to_string_compact();
     assert!(json.contains("\"queries\":1"), "{json}");
+}
+
+/// `n` concurrent `/query` requests, one connection each; their
+/// statuses and bodies in client order.
+fn burst(addr: SocketAddr, n: usize) -> Vec<(u16, String)> {
+    let clients: Vec<_> = (0..n)
+        .map(|i| {
+            std::thread::spawn(move || {
+                let q = if i % 2 == 0 { "car+engine" } else { "lion+zebra" };
+                get(addr, &format!("/query?q={q}&top=2&timeout_ms=5000"))
+            })
+        })
+        .collect();
+    clients.into_iter().map(|c| c.join().unwrap()).collect()
+}
+
+fn stats_json(addr: SocketAddr) -> Json {
+    let (code, body) = get(addr, "/stats");
+    assert_eq!(code, 200, "{body}");
+    let start = body.find('{').expect("stats body has JSON");
+    lsi_obs::parse_json(&body[start..]).expect("stats JSON parses")
+}
+
+fn stat(stats: &Json, key: &str) -> f64 {
+    stats.get(key).and_then(|v| v.as_f64()).unwrap_or(-1.0)
+}
+
+fn ladder_ready(stats: &Json) -> bool {
+    matches!(stats.get("ladder_ready"), Some(Json::Bool(true)))
+}
+
+/// A queue of 8 drained one job per 40 ms batch: a burst of 8 backs it
+/// up past the ladder's level-2 trigger, so the ladder escalates.
+fn ladder_config() -> ServeConfig {
+    ServeConfig {
+        threads: 8,
+        queue_depth: 8,
+        max_batch: 1,
+        ..ServeConfig::default()
+    }
+}
+
+const SLOW_BATCH: &str = "serve.batch=delay-ms(40)";
+
+#[test]
+fn held_ladder_build_never_delays_a_batch_and_its_rung_serves_once_built() {
+    let _g = fault_lock().lock().unwrap_or_else(|p| p.into_inner());
+    let srv = Running::start(ladder_config());
+    const HOLD_MS: u64 = 2_000;
+    lsi_fault::arm_from_spec(&format!(
+        "{SLOW_BATCH},serve.ladder.build=delay-ms({HOLD_MS}):1"
+    ))
+    .unwrap();
+    let t0 = Instant::now();
+    for (code, body) in burst(srv.addr, 8) {
+        assert_eq!(code, 200, "{body}");
+    }
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_millis(HOLD_MS / 2),
+        "the burst took {took:?}: a batch waited for the held build"
+    );
+    // The ladder escalated, but its rungs are still being built: every
+    // batch ran level 0's plan.
+    let stats = stats_json(srv.addr);
+    assert!(!ladder_ready(&stats), "{stats:?}");
+    assert_eq!(stat(&stats, "degrade_level"), 0.0, "{stats:?}");
+
+    // Once the hold ends, the batcher installs the bundle between
+    // batches and the next overload is served by a pruned rung.
+    let held_until = t0 + Duration::from_millis(HOLD_MS + 200);
+    std::thread::sleep(held_until.saturating_duration_since(Instant::now()));
+    for (code, body) in burst(srv.addr, 8) {
+        assert_eq!(code, 200, "{body}");
+    }
+    let stats = stats_json(srv.addr);
+    lsi_fault::clear();
+    assert!(ladder_ready(&stats), "{stats:?}");
+    assert!(stat(&stats, "degrade_level") >= 1.0, "{stats:?}");
+    assert!(stat(&stats, "ladder_build_ms") >= HOLD_MS as f64, "{stats:?}");
+    srv.finish();
+}
+
+#[test]
+fn failed_ladder_build_is_logged_once_and_the_daemon_keeps_serving() {
+    let _g = fault_lock().lock().unwrap_or_else(|p| p.into_inner());
+    let errors = || lsi_obs::registry().counter("events.error.count").value();
+    for action in ["return-err", "panic"] {
+        let srv = Running::start(ladder_config());
+        // Armed without a count: a second build would fail and log too.
+        lsi_fault::arm_from_spec(&format!("{SLOW_BATCH},serve.ladder.build={action}")).unwrap();
+        let before = errors();
+        for _ in 0..3 {
+            for (code, body) in burst(srv.addr, 8) {
+                assert_eq!(code, 200, "{action}: {body}");
+            }
+        }
+        let stats = stats_json(srv.addr);
+        lsi_fault::clear();
+        assert!(!ladder_ready(&stats), "{action}: {stats:?}");
+        assert_eq!(stat(&stats, "degrade_level"), 0.0, "{action}: {stats:?}");
+        assert_eq!(errors() - before, 1, "{action}: the failure is logged once");
+        let panics = srv.stats.panics.load(Ordering::Relaxed);
+        assert_eq!(panics, u64::from(action == "panic"), "{action}");
+        // The drain still completes and reports.
+        let json = srv.finish().to_json().to_string_compact();
+        assert!(json.contains("\"lsi_serve\""), "{action}: {json}");
+    }
 }
