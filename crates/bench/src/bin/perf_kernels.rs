@@ -1,8 +1,9 @@
 //! Kernel-level performance snapshot used to populate BENCH_kernels.json.
 //!
 //! Measures dense GEMM throughput (GFLOP/s), Lanczos wall time at
-//! k = 50 beside DESIGN.md §4's SVD ablations, and query-scoring
-//! throughput (queries/sec). Prints one JSON run report to stdout (the
+//! k = 50 beside DESIGN.md §4's SVD ablations, query-scoring
+//! throughput (queries/sec), and the parse layer of an index build
+//! (`corpus_parse_secs`). Prints one JSON run report to stdout (the
 //! lsi-obs `RunReport` schema: `name`/`meta`/`results`/`metrics`) so
 //! before/after runs can be diffed mechanically:
 //!
@@ -71,7 +72,7 @@ use lsi_linalg::{ops, DenseMatrix};
 use lsi_obs::Json;
 use lsi_sparse::ops::DualFormat;
 use lsi_svd::{lanczos_svd, randomized_svd, LanczosOptions, RandomizedOptions, Reorth};
-use lsi_text::{ParsingRules, TermWeighting};
+use lsi_text::{ParsingRules, TermWeighting, Vocabulary};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -88,6 +89,8 @@ struct Sizes {
     model_k: usize,
     time_reps: usize,
     score_reps: usize,
+    /// Topics of the `corpus_parse_secs` corpus (100 documents each).
+    parse_topics: usize,
 }
 
 impl Sizes {
@@ -106,6 +109,7 @@ impl Sizes {
                 model_k: 16,
                 time_reps: 1,
                 score_reps: 2,
+                parse_topics: 5,
             }
         } else {
             Sizes {
@@ -121,6 +125,7 @@ impl Sizes {
                 model_k: 64,
                 time_reps: 3,
                 score_reps: 20,
+                parse_topics: 50,
             }
         }
     }
@@ -197,6 +202,31 @@ fn svd_ablation_rows(s: &Sizes, dual: &DualFormat) -> [(&'static str, f64); 3] {
         ("randomized_q0_k50_secs", randomized(0)),
         ("lanczos_three_term_k50_secs", time_lanczos(s, dual, Reorth::ThreeTermOnly).0),
     ]
+}
+
+/// Best-of-3 time of the parse layer, `Vocabulary::build` then
+/// `count_matrix`, on a fixed synthetic corpus of lsibench's ingest
+/// shape: at full size 50 topics × 100 documents of 60 tokens over a
+/// 500-word background (5,000 documents, ~5,000 terms).
+fn corpus_parse_secs(s: &Sizes) -> f64 {
+    let gen = SyntheticCorpus::generate(&SyntheticOptions {
+        n_topics: s.parse_topics,
+        docs_per_topic: 100,
+        concepts_per_topic: 30,
+        doc_len: 60,
+        background_vocab: 500,
+        queries_per_topic: 0,
+        seed: 11,
+        ..Default::default()
+    });
+    let rules = ParsingRules {
+        min_df: 2,
+        ..Default::default()
+    };
+    best_secs(3, || {
+        let vocab = Vocabulary::build(&gen.corpus, &rules);
+        std::hint::black_box(vocab.count_matrix(&gen.corpus));
+    })
 }
 
 /// The kernels-bench model, its query texts, and their projections.
@@ -339,6 +369,10 @@ fn kernels_report(s: &Sizes) {
         let _span = lsi_obs::span("bench.query");
         let (model, queries, qhats) = query_model(s);
         rows.extend(query_rows(s, &model, &queries, &qhats));
+    }
+    {
+        let _span = lsi_obs::span("bench.parse");
+        rows.push(("corpus_parse_secs", corpus_parse_secs(s)));
     }
     let mut report = lsi_obs::RunReport::new("perf_kernels")
         .meta("k", Json::Num(s.lanczos_k as f64))
@@ -1052,6 +1086,7 @@ fn gate_measure(s: &Sizes) -> (Vec<(&'static str, f64)>, [f64; 3]) {
 
     let (model, queries, qhats) = query_model(s);
     rows.extend(query_rows(s, &model, &queries, &qhats));
+    rows.push(("corpus_parse_secs", corpus_parse_secs(s)));
 
     // Pruned batched scoring at the default probe depth on the
     // 10x-inflated corpus — the gated operating point of the cluster

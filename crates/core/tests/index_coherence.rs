@@ -289,7 +289,9 @@ fn compressed_precisions_stay_coherent_under_mutation() {
 fn ladder_rungs_rank_like_a_trained_and_compressed_model() {
     let corpus = random_corpus(300, 0x1D_C0_0007);
     let base = build(&corpus, 8, 53);
-    let rungs = base.build_rungs().unwrap();
+    // Built as `lsi serve`'s builder thread builds them: every parallel
+    // kernel inline on this thread, off the pool.
+    let rungs = rayon::run_inline(|| base.build_rungs()).unwrap();
     assert_eq!(base.index_n_lists(), None, "build_rungs must not train the model");
     assert_eq!(base.precision(), Precision::Exact);
     let mut trained = base.clone();

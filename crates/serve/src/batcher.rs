@@ -250,13 +250,17 @@ impl Ladder {
 struct Build(JoinHandle<(Result<Rungs, String>, Duration)>);
 
 impl Build {
+    /// Start the build. Its parallel kernels (the k-means, the f32
+    /// copy) run inline on the builder thread: the pool's one job slot
+    /// stays free for the batches scored meanwhile, which would
+    /// otherwise find it taken and sweep serially.
     fn spawn(model: &Arc<LsiModel>) -> std::io::Result<Build> {
         let model = Arc::clone(model);
         std::thread::Builder::new()
             .name("lsi-serve-builder".to_string())
             .spawn(move || {
                 let t0 = Instant::now();
-                let built = build_rungs(&model);
+                let built = rayon::run_inline(|| build_rungs(&model));
                 (built, t0.elapsed())
             })
             .map(Build)
@@ -326,18 +330,7 @@ pub(crate) fn run(
     while let Some((batch, backlog)) = queue.pop_batch(max_batch) {
         lsi_obs::gauge_set("serve.queue.depth", backlog as f64);
         let now = Instant::now();
-        let mut live: Vec<Job> = Vec::with_capacity(batch.len());
-        for job in batch {
-            if job.deadline <= now {
-                // Expired while queued: dropping the reply sender makes
-                // the handler's recv see Disconnected and answer 504
-                // without the sweep ever running.
-                stats.add_timeout();
-                lsi_obs::count("serve.timeout.count", 1);
-            } else {
-                live.push(job);
-            }
-        }
+        let live = live_jobs(batch, now, stats);
         if live.is_empty() {
             continue;
         }
@@ -366,6 +359,22 @@ pub(crate) fn run(
     if let Some(b) = build {
         b.join(stats);
     }
+}
+
+/// The jobs of `batch` whose deadline is after `now`, in order. Each
+/// expired job is counted as one timeout and dropped: dropping its reply
+/// sender makes the handler's `recv` see `Disconnected` and answer 504
+/// without the sweep ever running.
+fn live_jobs(mut batch: Vec<Job>, now: Instant, stats: &Stats) -> Vec<Job> {
+    batch.retain(|job| {
+        let live = job.deadline > now;
+        if !live {
+            stats.add_timeout();
+            lsi_obs::count("serve.timeout.count", 1);
+        }
+        live
+    });
+    batch
 }
 
 /// Score one batch, containing panics so the batcher thread survives
@@ -563,6 +572,65 @@ mod tests {
                     (nprobe_at[level], f32_at[level]),
                     "{policy:?} {precision:?} level {level}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn expired_jobs_are_dropped_and_counted_once() {
+        use std::sync::atomic::Ordering;
+        use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError};
+
+        type Reply = Receiver<Result<RankedList, String>>;
+        // Each job's deadline in ms relative to `now` (0: due exactly at
+        // `now`, which has expired), and which of them stay live.
+        let table: [(&[i64], &[bool]); 4] = [
+            (&[-5, 0, 5], &[false, false, true]),
+            (&[5, -1, 1, 0, 7], &[true, false, true, false, true]),
+            (&[-3, 0, -1], &[false, false, false]),
+            (&[1, 2, 30], &[true, true, true]),
+        ];
+        for (deadlines, live_at) in table {
+            let now = Instant::now() + Duration::from_secs(1);
+            let (jobs, replies): (Vec<Job>, Vec<Reply>) = deadlines
+                .iter()
+                .enumerate()
+                .map(|(i, &ms)| {
+                    let (reply, rx) = sync_channel(1);
+                    let offset = Duration::from_millis(ms.unsigned_abs());
+                    let job = Job {
+                        text: format!("q{i}"),
+                        z: 10,
+                        trace_id: format!("t{i}"),
+                        enqueued: now - Duration::from_millis(100),
+                        deadline: if ms < 0 { now - offset } else { now + offset },
+                        reply,
+                    };
+                    (job, rx)
+                })
+                .unzip();
+            let stats = Stats::default();
+            let live = live_jobs(jobs, now, &stats);
+
+            let want: Vec<String> = (0..deadlines.len())
+                .filter(|&i| live_at[i])
+                .map(|i| format!("t{i}"))
+                .collect();
+            let got: Vec<String> = live.iter().map(|job| job.trace_id.clone()).collect();
+            assert_eq!(got, want, "deadlines {deadlines:?}");
+            let expired = live_at.iter().filter(|&&l| !l).count() as u64;
+            // Relaxed: a counter read after the call that wrote it.
+            assert_eq!(stats.timeouts.load(Ordering::Relaxed), expired, "{deadlines:?}");
+            for (rx, &is_live) in replies.iter().zip(live_at) {
+                // The handler's wait: an expired job's sender is gone
+                // (its 504 path); a live one's is still held.
+                let seen = rx.recv_timeout(Duration::ZERO);
+                let want = if is_live {
+                    RecvTimeoutError::Timeout
+                } else {
+                    RecvTimeoutError::Disconnected
+                };
+                assert_eq!(seen.err(), Some(want), "deadlines {deadlines:?}");
             }
         }
     }

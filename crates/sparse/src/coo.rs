@@ -1,8 +1,7 @@
 //! Coordinate-format (triplet) sparse matrix builder.
 //!
-//! The text-processing layer appends one triplet per term occurrence;
-//! duplicates are summed when converting to compressed storage, which is
-//! exactly the term-frequency semantics of the paper's Eq. (4).
+//! Triplets go in in any order; duplicates are summed when converting to
+//! compressed storage.
 
 use crate::csc::CscMatrix;
 use crate::{Error, Result};

@@ -4,8 +4,8 @@
 //! TREC matrices of §5.3 are 0.001–0.002 % dense), so everything the SVD
 //! and retrieval layers touch is built on the formats here:
 //!
-//! * [`coo::CooMatrix`] — triplet accumulator used while parsing text,
-//!   compressed once, straight into CSC,
+//! * [`coo::CooMatrix`] — triplet accumulator used by the random
+//!   generators, compressed once, straight into CSC,
 //! * [`csc::CscMatrix`] — the one compressed format: column-major (a
 //!   column is a document), per-document access, serial and
 //!   rayon-parallel `Aᵀ·x`, and [`CscMatrix::transpose`], whose columns

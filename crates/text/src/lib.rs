@@ -17,6 +17,17 @@
 //!   query because they are "not indexed terms") — [`stopwords`],
 //! * cell values are term frequencies (Eq. 4) transformed by local and
 //!   global weights (Eq. 5): `a_ij = L(i,j) × G(i)` — [`weighting`].
+//!
+//! Parsing allocates nothing per token. One streaming tokenizer,
+//! [`tokenize::for_each_token`], hands each lowercase token to a
+//! callback from a reused buffer ([`tokenize()`] collects it). On top of
+//! it, [`Vocabulary::build`] interns each distinct surface form once —
+//! deciding its admissibility and fold key at first sight — and counts
+//! document, global and surface frequencies by id, spelling out strings
+//! only for the terms it keeps. The count paths
+//! ([`Vocabulary::count_matrix`], [`Vocabulary::count_vector`],
+//! [`Vocabulary::sparse_count_vector`]) look each unit's key up by
+//! `&str` and write CSC columns directly.
 
 pub mod corpus;
 pub mod ngram;

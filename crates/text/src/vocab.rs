@@ -4,15 +4,24 @@
 //! plural fold, and the document-frequency threshold ("keywords appear
 //! in more than one topic", §3). Terms are ordered alphabetically by
 //! display form — the ordering Table 3 and Figure 5 of the paper use.
+//!
+//! Every path reads a text the same way: [`for_each_token`] streams its
+//! tokens, and one unit walker turns them into index units (admissible
+//! words, then adjacent pairs when phrases are on). [`Vocabulary::build`]
+//! interns each distinct surface once — its admissibility and fold key
+//! are computed at first sight — and counts document, global and
+//! surface frequencies by id; strings are made only for the terms it
+//! keeps. The count paths look each unit's key up by `&str`, a phrase's
+//! key built in a reused buffer, so parsing allocates nothing per token.
 
 use std::collections::HashMap;
 
-use lsi_sparse::{CooMatrix, CscMatrix};
+use lsi_sparse::CscMatrix;
 
 use crate::corpus::Corpus;
 use crate::normalize::TokenFold;
 use crate::stopwords::is_stopword;
-use crate::tokenize::tokenize;
+use crate::tokenize::for_each_token;
 
 /// Rules governing which tokens become indexed terms.
 #[derive(Debug, Clone)]
@@ -62,6 +71,12 @@ impl ParsingRules {
             word_ngrams: 1,
         }
     }
+
+    /// Is `token` an indexable word: long enough, and not a stop word
+    /// when those apply? (The df window applies later, to whole terms.)
+    fn admits(&self, token: &str) -> bool {
+        token.chars().count() >= self.min_token_len && !(self.use_stopwords && is_stopword(token))
+    }
 }
 
 /// Map each fold-key to its row (a repeated key keeps its last row).
@@ -91,25 +106,19 @@ pub struct Vocabulary {
 impl Vocabulary {
     /// Build a vocabulary from a corpus under the given rules.
     pub fn build(corpus: &Corpus, rules: &ParsingRules) -> Vocabulary {
-        // Pass 1: per-key stats and surface-form counts.
-        let mut df: HashMap<String, usize> = HashMap::new();
-        let mut gf: HashMap<String, usize> = HashMap::new();
-        let mut surface_counts: HashMap<String, HashMap<String, usize>> = HashMap::new();
-        for doc in &corpus.docs {
-            let mut seen_in_doc: HashMap<String, bool> = HashMap::new();
-            for (surface, key) in Self::index_units(&doc.text, rules) {
-                *gf.entry(key.clone()).or_insert(0) += 1;
-                *surface_counts
-                    .entry(key.clone())
-                    .or_default()
-                    .entry(surface)
-                    .or_insert(0) += 1;
-                seen_in_doc.entry(key).or_insert(true);
-            }
-            for key in seen_in_doc.into_keys() {
-                *df.entry(key).or_insert(0) += 1;
-            }
+        // Pass 1: each distinct surface interned, every count by id.
+        let mut tally = Tally {
+            rules,
+            doc: 0,
+            table: Interned::default(),
+            phrase: String::new(),
+            phrase_key: String::new(),
+        };
+        for (j, doc) in corpus.docs.iter().enumerate() {
+            tally.doc = j;
+            walk_units(&doc.text, rules, &mut tally);
         }
+        let Interned { ids, key_ids, surfaces, key_stats } = tally.table;
 
         let n_docs = corpus.len();
         let max_df = if rules.max_df_fraction >= 1.0 {
@@ -121,20 +130,31 @@ impl Vocabulary {
         // Select keys passing the df window; pick the most frequent
         // surface form (ties: lexicographically first) as display. Every
         // key was counted with its surface forms, so each has one.
-        let mut entries: Vec<(String, String, usize, usize)> = surface_counts
-            .into_iter()
-            .filter_map(|(key, surfaces)| {
-                let d = df
-                    .get(&key)
-                    .copied()
-                    .filter(|&d| d >= rules.min_df && d <= max_df)?;
-                let g = gf.get(&key).copied()?;
-                let display = surfaces
-                    .into_iter()
-                    .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)))?
-                    .0;
-                Some((display, key, d, g))
-            })
+        let mut surface_text = vec![""; surfaces.len()];
+        for (text, id) in &ids {
+            if let Some(s) = *id {
+                surface_text[s] = text;
+            }
+        }
+        let mut key_text = vec![""; key_stats.len()];
+        for (text, &k) in &key_ids {
+            key_text[k] = text;
+        }
+        let mut shown: Vec<Option<(usize, &str)>> = vec![None; key_stats.len()];
+        for (&(k, count), &text) in surfaces.iter().zip(&surface_text) {
+            let d = key_stats[k].df;
+            if d >= rules.min_df
+                && d <= max_df
+                && shown[k].is_none_or(|(c, t)| count > c || (count == c && text < t))
+            {
+                shown[k] = Some((count, text));
+            }
+        }
+        let mut entries: Vec<(&str, &str, usize, usize)> = shown
+            .iter()
+            .zip(&key_text)
+            .zip(&key_stats)
+            .filter_map(|((best, &key), k)| Some((best.as_ref()?.1, key, k.df, k.gf)))
             .collect();
         // Keys are distinct, so the counts never decide the order.
         entries.sort();
@@ -144,8 +164,8 @@ impl Vocabulary {
         let mut doc_freq = Vec::with_capacity(entries.len());
         let mut global_freq = Vec::with_capacity(entries.len());
         for (display, key, d, g) in entries {
-            displays.push(display);
-            keys.push(key);
+            displays.push(display.to_string());
+            keys.push(key.to_string());
             doc_freq.push(d);
             global_freq.push(g);
         }
@@ -199,36 +219,6 @@ impl Vocabulary {
             global_freq,
             n_docs,
         })
-    }
-
-    /// Tokens of `text` that pass the token-level rules (length, stop
-    /// words) — before df filtering.
-    fn admissible_tokens(text: &str, rules: &ParsingRules) -> impl Iterator<Item = String> {
-        let use_stop = rules.use_stopwords;
-        let min_len = rules.min_token_len;
-        tokenize(text).into_iter().filter(move |t| {
-            t.chars().count() >= min_len && !(use_stop && is_stopword(t))
-        })
-    }
-
-    /// The indexable units of `text` as `(surface, fold-key)` pairs:
-    /// each admissible word, plus — when `rules.word_ngrams >= 2` —
-    /// each pair of adjacent admissible words (a "phrase row" in the
-    /// §5.4 sense), joined with a single space.
-    fn index_units(text: &str, rules: &ParsingRules) -> Vec<(String, String)> {
-        let toks: Vec<String> = Self::admissible_tokens(text, rules).collect();
-        let mut units: Vec<(String, String)> = toks
-            .iter()
-            .map(|t| (t.clone(), rules.fold.key(t).to_string()))
-            .collect();
-        if rules.word_ngrams >= 2 {
-            for w in toks.windows(2) {
-                let surface = format!("{} {}", w[0], w[1]);
-                let key = format!("{} {}", rules.fold.key(&w[0]), rules.fold.key(&w[1]));
-                units.push((surface, key));
-            }
-        }
-        units
     }
 
     /// Number of indexed terms (`m` of the paper).
@@ -289,14 +279,21 @@ impl Vocabulary {
         &self.rules
     }
 
+    /// A walk that looks units up in this vocabulary.
+    fn rows(&self) -> Rows<'_> {
+        Rows {
+            vocab: self,
+            phrase: String::new(),
+            rows: Vec::new(),
+        }
+    }
+
     /// Count raw term frequencies of `text` against this vocabulary
     /// (the paper's query vector `q` before weighting).
     pub fn count_vector(&self, text: &str) -> Vec<f64> {
         let mut counts = vec![0.0; self.len()];
-        for (_, key) in Self::index_units(text, &self.rules) {
-            if let Some(&i) = self.index.get(&key) {
-                counts[i] += 1.0;
-            }
+        for (i, count) in run_counts(self.rows().of(text)) {
+            counts[i] = count;
         }
         counts
     }
@@ -306,41 +303,222 @@ impl Vocabulary {
     /// `text` itself are looked up and counted, so the cost follows the
     /// query's length, not the vocabulary's.
     pub fn sparse_count_vector(&self, text: &str) -> Vec<(usize, f64)> {
-        let mut hits: Vec<usize> = Self::index_units(text, &self.rules)
-            .into_iter()
-            .filter_map(|(_, key)| self.index.get(&key).copied())
-            .collect();
-        hits.sort_unstable();
-        let mut counts: Vec<(usize, f64)> = Vec::with_capacity(hits.len());
-        for i in hits {
-            match counts.last_mut() {
-                Some((j, c)) if *j == i => *c += 1.0,
-                _ => counts.push((i, 1.0)),
-            }
-        }
-        counts
+        run_counts(self.rows().of(text)).collect()
     }
 
     /// Build the raw term-document *count* matrix for `corpus`
-    /// (Eq. 4 of the paper: `a_ij` = frequency of term `i` in doc `j`).
+    /// (Eq. 4 of the paper: `a_ij` = frequency of term `i` in doc `j`),
+    /// one CSC column per document.
     ///
     /// The corpus need not be the one the vocabulary was built from —
     /// that is exactly what folding-in new documents requires.
     pub fn count_matrix(&self, corpus: &Corpus) -> CscMatrix {
-        let mut coo = CooMatrix::new(self.len(), corpus.len());
-        for (j, doc) in corpus.docs.iter().enumerate() {
-            for (i, count) in self.sparse_count_vector(&doc.text) {
-                // `index` is built from `keys`, so `i` is a row of the
-                // shape and `j` one of its columns: the push cannot fail.
-                if let Err(e) = coo.push(i, j, count) {
-                    lsi_obs::error!("count_matrix: dropped a count outside the shape: {e}");
-                }
+        let mut walk = self.rows();
+        let mut indptr = Vec::with_capacity(corpus.len() + 1);
+        indptr.push(0);
+        let mut indices = Vec::new();
+        let mut values = Vec::new();
+        for doc in &corpus.docs {
+            for (i, count) in run_counts(walk.of(&doc.text)) {
+                indices.push(i);
+                values.push(count);
             }
+            indptr.push(indices.len());
         }
-        let csc = coo.to_csc();
+        // Each column's rows come from `index`, built from `keys`: they
+        // are in the shape, ascending and distinct, so this cannot fail.
+        let csc = CscMatrix::from_raw(self.len(), corpus.len(), indptr, indices, values)
+            .unwrap_or_else(|e| {
+                lsi_obs::error!("count_matrix: dropped every count: {e}");
+                CscMatrix::zeros(self.len(), corpus.len())
+            });
         lsi_obs::count("text.count_matrix.nnz.count", csc.nnz() as u64);
         csc
     }
+}
+
+/// What [`walk_units`] does with the index units of a text.
+trait Units {
+    /// What stands for an admissible word.
+    type Word: Copy;
+    /// The handle of `token`, or `None` when the rules do not admit it.
+    fn word(&mut self, token: &str) -> Option<Self::Word>;
+    /// One index unit: the admissible `token` (whose handle is `word`)
+    /// alone, or the phrase of `prev`, the admissible word before it, and
+    /// `token`.
+    fn unit(&mut self, prev: Option<&str>, token: &str, word: Self::Word);
+}
+
+/// Walk the index units of `text`: each admissible word, and — when
+/// `rules.word_ngrams >= 2` — each pair of adjacent admissible words (a
+/// "phrase row" in the §5.4 sense; the tokens the rules drop between
+/// two words do not break their pair).
+fn walk_units<U: Units>(text: &str, rules: &ParsingRules, units: &mut U) {
+    let pairs = rules.word_ngrams >= 2;
+    // The admissible word before `token`, in a buffer reused along the
+    // text; empty before the first (a token never is).
+    let mut prev = String::new();
+    for_each_token(text, |token| {
+        let Some(word) = units.word(token) else {
+            return;
+        };
+        units.unit(None, token, word);
+        if pairs {
+            if !prev.is_empty() {
+                units.unit(Some(&prev), token, word);
+            }
+            prev.clear();
+            prev.push_str(token);
+        }
+    });
+}
+
+/// The frequencies of one fold key.
+struct KeyStats {
+    df: usize,
+    gf: usize,
+    /// The last document `df` counted.
+    last_doc: usize,
+}
+
+/// Each distinct surface — a token as the text spells it, or two
+/// adjacent words joined by a space — with its fold key, interned once.
+#[derive(Default)]
+struct Interned {
+    /// Surface → its id; `None` for a token the rules do not admit.
+    ids: HashMap<Box<str>, Option<usize>>,
+    /// Fold key → its id.
+    key_ids: HashMap<Box<str>, usize>,
+    /// The key id and count of each surface.
+    surfaces: Vec<(usize, usize)>,
+    key_stats: Vec<KeyStats>,
+}
+
+impl Interned {
+    /// Intern `surface`, not seen before, under the fold key `key`; its id.
+    fn add(&mut self, surface: &str, key: &str) -> usize {
+        let k = match self.key_ids.get(key) {
+            Some(&k) => k,
+            None => {
+                self.key_stats.push(KeyStats { df: 0, gf: 0, last_doc: usize::MAX });
+                self.key_ids.insert(key.into(), self.key_stats.len() - 1);
+                self.key_stats.len() - 1
+            }
+        };
+        self.surfaces.push((k, 0));
+        self.ids.insert(surface.into(), Some(self.surfaces.len() - 1));
+        self.surfaces.len() - 1
+    }
+}
+
+/// Write `a b` into `buf`.
+fn join_into(buf: &mut String, a: &str, b: &str) {
+    buf.clear();
+    buf.push_str(a);
+    buf.push(' ');
+    buf.push_str(b);
+}
+
+/// The first pass of [`Vocabulary::build`]: surfaces interned, and
+/// every frequency counted by id.
+struct Tally<'r> {
+    rules: &'r ParsingRules,
+    /// The document being walked.
+    doc: usize,
+    table: Interned,
+    /// A phrase's surface and key, spelt for their lookups.
+    phrase: String,
+    phrase_key: String,
+}
+
+impl Units for Tally<'_> {
+    /// The surface id.
+    type Word = usize;
+
+    fn word(&mut self, token: &str) -> Option<usize> {
+        if let Some(&id) = self.table.ids.get(token) {
+            return id;
+        }
+        if self.rules.admits(token) {
+            Some(self.table.add(token, self.rules.fold.key(token)))
+        } else {
+            self.table.ids.insert(token.into(), None);
+            None
+        }
+    }
+
+    fn unit(&mut self, prev: Option<&str>, token: &str, word: usize) {
+        let s = match prev {
+            None => word,
+            Some(prev) => {
+                join_into(&mut self.phrase, prev, token);
+                match self.table.ids.get(self.phrase.as_str()) {
+                    Some(&Some(s)) => s,
+                    _ => {
+                        let fold = self.rules.fold;
+                        join_into(&mut self.phrase_key, fold.key(prev), fold.key(token));
+                        self.table.add(&self.phrase, &self.phrase_key)
+                    }
+                }
+            }
+        };
+        let (k, count) = &mut self.table.surfaces[s];
+        *count += 1;
+        let key = &mut self.table.key_stats[*k];
+        key.gf += 1;
+        if key.last_doc != self.doc {
+            key.last_doc = self.doc;
+            key.df += 1;
+        }
+    }
+}
+
+/// The count paths' walk: the row of each unit's fold key, where the
+/// vocabulary has one.
+struct Rows<'v> {
+    vocab: &'v Vocabulary,
+    /// A phrase's key, built for its lookup.
+    phrase: String,
+    /// The rows of the units walked, one per occurrence.
+    rows: Vec<usize>,
+}
+
+impl Rows<'_> {
+    /// The rows of `text`'s units, ascending, one per occurrence.
+    fn of(&mut self, text: &str) -> &[usize] {
+        self.rows.clear();
+        let rules = &self.vocab.rules;
+        walk_units(text, rules, self);
+        self.rows.sort_unstable();
+        &self.rows
+    }
+}
+
+impl Units for Rows<'_> {
+    type Word = ();
+
+    fn word(&mut self, token: &str) -> Option<()> {
+        self.vocab.rules.admits(token).then_some(())
+    }
+
+    fn unit(&mut self, prev: Option<&str>, token: &str, (): ()) {
+        let fold = self.vocab.rules.fold;
+        let key = match prev {
+            None => fold.key(token),
+            Some(prev) => {
+                join_into(&mut self.phrase, fold.key(prev), fold.key(token));
+                &self.phrase
+            }
+        };
+        if let Some(&row) = self.vocab.index.get(key) {
+            self.rows.push(row);
+        }
+    }
+}
+
+/// Each distinct row of ascending `rows` with its number of occurrences.
+fn run_counts(rows: &[usize]) -> impl Iterator<Item = (usize, f64)> + '_ {
+    rows.chunk_by(|a, b| a == b).map(|run| (run[0], run.len() as f64))
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ for key in \
     gemm_nn_tall_gflops lanczos_k50_secs lanczos_k50_steps \
     randomized_q2_k50_secs randomized_q0_k50_secs lanczos_three_term_k50_secs \
     query_single_qps query_batch_scoring_qps query_multi_facet_qps \
-    git_sha '"metrics"' '"spans"'; do
+    corpus_parse_secs git_sha '"metrics"' '"spans"'; do
   if ! grep -q -- "$key" <<<"$out"; then
     echo "FAIL: perf_kernels --quick output is missing $key" >&2
     exit 1
