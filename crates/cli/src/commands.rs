@@ -147,11 +147,13 @@ pub fn cmd_index(
     };
     save_model(&model, out)?;
     Ok(format!(
-        "indexed {} documents, {} terms -> {} factors ({} Lanczos steps){index_note}; wrote {}",
+        "indexed {} documents, {} terms -> {} factors ({} Lanczos steps, {} of {} converged){index_note}; wrote {}",
         model.n_docs(),
         model.n_terms(),
         model.k(),
         report.steps,
+        report.converged,
+        model.k(),
         out
     ) + "\n")
 }

@@ -27,6 +27,7 @@ const LANCZOS_PHASES: &[&str] = &[
     "build.svd.lanczos.gram",
     "build.svd.lanczos.reorth",
     "build.svd.lanczos.ritz",
+    "build.svd.lanczos.tridiag",
 ];
 
 fn tmpdir() -> std::path::PathBuf {

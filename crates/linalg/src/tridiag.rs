@@ -6,7 +6,8 @@
 //! solvers are provided:
 //!
 //! * [`tridiag_eigen`] — implicit QL with Wilkinson shifts, accumulating
-//!   eigenvectors (the classic `tqli` algorithm),
+//!   eigenvectors (the classic `tqli` algorithm); [`tridiag_eigen_last_row`]
+//!   runs the same sweeps but keeps only the last eigenvector row,
 //! * [`sturm_eigenvalues`] — bisection on the Sturm sequence, values
 //!   only, used as an oracle in property tests and for cheap
 //!   eigenvalue-count queries.
@@ -86,16 +87,73 @@ impl SymTridiag {
 /// columns.
 pub fn tridiag_eigen(t: &SymTridiag) -> Result<(Vec<f64>, DenseMatrix)> {
     let n = t.n();
-    if n == 0 {
-        return Ok((Vec::new(), DenseMatrix::zeros(0, 0)));
+    let mut z = DenseMatrix::identity(n);
+    let d = ql_sweeps(t, "tridiag_eigen", |i, s, c| {
+        // Columns i and i+1 of the column-major Z lie side by side.
+        let (zi, zi1) = z.data_mut()[i * n..(i + 2) * n].split_at_mut(n);
+        for (a, b) in zi.iter_mut().zip(zi1) {
+            let (zk, f) = (*a, *b);
+            *b = s * zk + c * f;
+            *a = c * zk - s * f;
+        }
+    })?;
+    let order = descending(&d);
+    let values: Vec<f64> = order.iter().map(|&i| d[i]).collect();
+    // Column copies into a zeroed matrix: no fallible constructor, so
+    // no error or panic path after the sweeps.
+    let mut vecs = DenseMatrix::zeros(n, n);
+    for (j, &i) in order.iter().enumerate() {
+        vecs.col_mut(j).copy_from_slice(z.col(i));
     }
+    Ok((values, vecs))
+}
+
+/// Eigenvalues of a symmetric tridiagonal matrix plus the **last row**
+/// of its eigenvector matrix, in descending eigenvalue order.
+///
+/// This is the Lanczos convergence test's exact need: the residual
+/// bound for Ritz pair `i` is `|β_n · S[n-1, i]|`, so only row `n-1`
+/// of `S` ever gets read. Running the same implicit-QL sweeps as
+/// [`tridiag_eigen`] but applying the rotations to that one row
+/// instead of the full matrix turns each accumulation step from
+/// `O(n)` into `O(1)` — the whole call drops from `O(n³)` to `O(n²)` —
+/// while producing bit-identical eigenvalues and last-row entries.
+pub fn tridiag_eigen_last_row(t: &SymTridiag) -> Result<(Vec<f64>, Vec<f64>)> {
+    // Row n-1 of the accumulated rotation product, seeded from the
+    // identity.
+    let mut zrow = vec![0.0f64; t.n()];
+    if let Some(last) = zrow.last_mut() {
+        *last = 1.0;
+    }
+    let d = ql_sweeps(t, "tridiag_eigen_last_row", |i, s, c| {
+        let (zk, f) = (zrow[i], zrow[i + 1]);
+        zrow[i + 1] = s * zk + c * f;
+        zrow[i] = c * zk - s * f;
+    })?;
+    let order = descending(&d);
+    let values: Vec<f64> = order.iter().map(|&i| d[i]).collect();
+    let row: Vec<f64> = order.iter().map(|&i| zrow[i]).collect();
+    Ok((values, row))
+}
+
+/// Implicit QL with Wilkinson shifts (the classic `tqli` algorithm):
+/// the eigenvalues of `t`, in the order the sweeps leave them. Each
+/// plane rotation `(i, s, c)` the sweeps apply is handed to `rotate`,
+/// which applies it to eigenvector columns `i` and `i + 1` —
+/// `(z_i, z_{i+1}) ← (c·z_i − s·z_{i+1}, s·z_i + c·z_{i+1})` — of
+/// whatever part of the eigenvector matrix its caller keeps.
+fn ql_sweeps(
+    t: &SymTridiag,
+    routine: &'static str,
+    mut rotate: impl FnMut(usize, f64, f64),
+) -> Result<Vec<f64>> {
+    let n = t.n();
     let mut d = t.diag.clone();
     // e is padded to length n with a trailing zero as tqli expects.
     let mut e: Vec<f64> = t.offdiag.iter().copied().chain(std::iter::once(0.0)).collect();
     if d.iter().any(|v| !v.is_finite()) || e.iter().any(|v| !v.is_finite()) {
         return Err(Error::NotFinite);
     }
-    let mut z = DenseMatrix::identity(n);
 
     const MAX_SWEEPS: usize = 50;
     for l in 0..n {
@@ -116,7 +174,7 @@ pub fn tridiag_eigen(t: &SymTridiag) -> Result<(Vec<f64>, DenseMatrix)> {
             iter += 1;
             if iter > MAX_SWEEPS {
                 return Err(Error::NoConvergence {
-                    routine: "tridiag_eigen",
+                    routine,
                     iterations: MAX_SWEEPS,
                 });
             }
@@ -128,7 +186,7 @@ pub fn tridiag_eigen(t: &SymTridiag) -> Result<(Vec<f64>, DenseMatrix)> {
             let mut c = 1.0;
             let mut p = 0.0;
             for i in (l..m).rev() {
-                let mut f = s * e[i];
+                let f = s * e[i];
                 let b = c * e[i];
                 r = f.hypot(g);
                 e[i + 1] = r;
@@ -144,13 +202,7 @@ pub fn tridiag_eigen(t: &SymTridiag) -> Result<(Vec<f64>, DenseMatrix)> {
                 p = s * r;
                 d[i + 1] = g + p;
                 g = c * r - b;
-                // Accumulate the rotation into the eigenvector matrix.
-                for k in 0..n {
-                    f = z.get(k, i + 1);
-                    let zk = z.get(k, i);
-                    z.set(k, i + 1, s * zk + c * f);
-                    z.set(k, i, c * zk - s * f);
-                }
+                rotate(i, s, c);
             }
             if r == 0.0 && m > l {
                 continue;
@@ -160,111 +212,14 @@ pub fn tridiag_eigen(t: &SymTridiag) -> Result<(Vec<f64>, DenseMatrix)> {
             e[m] = 0.0;
         }
     }
-
-    // Sort descending, permuting eigenvector columns along.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| d[b].total_cmp(&d[a]));
-    let values: Vec<f64> = order.iter().map(|&i| d[i]).collect();
-    // Column copies into a zeroed matrix: no fallible constructor, so
-    // no error or panic path after the sweeps.
-    let mut vecs = DenseMatrix::zeros(n, n);
-    for (j, &i) in order.iter().enumerate() {
-        vecs.col_mut(j).copy_from_slice(z.col(i));
-    }
-    Ok((values, vecs))
+    Ok(d)
 }
 
-/// Eigenvalues of a symmetric tridiagonal matrix plus the **last row**
-/// of its eigenvector matrix, in descending eigenvalue order.
-///
-/// This is the Lanczos convergence test's exact need: the residual
-/// bound for Ritz pair `i` is `|β_n · S[n-1, i]|`, so only row `n-1`
-/// of `S` ever gets read. Running the same implicit-QL sweeps as
-/// [`tridiag_eigen`] but accumulating the rotations into a single row
-/// vector instead of the full matrix turns each accumulation step from
-/// `O(n)` into `O(1)` — the whole call drops from `O(n³)` to `O(n²)` —
-/// while producing bit-identical eigenvalues and last-row entries.
-pub fn tridiag_eigen_last_row(t: &SymTridiag) -> Result<(Vec<f64>, Vec<f64>)> {
-    let n = t.n();
-    if n == 0 {
-        return Ok((Vec::new(), Vec::new()));
-    }
-    let mut d = t.diag.clone();
-    let mut e: Vec<f64> = t.offdiag.iter().copied().chain(std::iter::once(0.0)).collect();
-    if d.iter().any(|v| !v.is_finite()) || e.iter().any(|v| !v.is_finite()) {
-        return Err(Error::NotFinite);
-    }
-    // Row n-1 of the accumulated rotation product, seeded from the
-    // identity.
-    let mut zrow = vec![0.0f64; n];
-    zrow[n - 1] = 1.0;
-
-    const MAX_SWEEPS: usize = 50;
-    for l in 0..n {
-        let mut iter = 0usize;
-        loop {
-            let mut m = l;
-            while m + 1 < n {
-                let dd = d[m].abs() + d[m + 1].abs();
-                if e[m].abs() <= f64::EPSILON * dd {
-                    break;
-                }
-                m += 1;
-            }
-            if m == l {
-                break;
-            }
-            iter += 1;
-            if iter > MAX_SWEEPS {
-                return Err(Error::NoConvergence {
-                    routine: "tridiag_eigen_last_row",
-                    iterations: MAX_SWEEPS,
-                });
-            }
-            let mut g = (d[l + 1] - d[l]) / (2.0 * e[l]);
-            let mut r = g.hypot(1.0);
-            g = d[m] - d[l] + e[l] / (g + r.copysign(g));
-            let mut s = 1.0;
-            let mut c = 1.0;
-            let mut p = 0.0;
-            for i in (l..m).rev() {
-                let mut f = s * e[i];
-                let b = c * e[i];
-                r = f.hypot(g);
-                e[i + 1] = r;
-                if r == 0.0 {
-                    d[i + 1] -= p;
-                    e[m] = 0.0;
-                    break;
-                }
-                s = f / r;
-                c = g / r;
-                g = d[i + 1] - p;
-                r = (d[i] - g) * s + 2.0 * c * b;
-                p = s * r;
-                d[i + 1] = g + p;
-                g = c * r - b;
-                // The same rotation tridiag_eigen applies to columns
-                // (i, i+1) of Z, restricted to row n-1.
-                f = zrow[i + 1];
-                let zk = zrow[i];
-                zrow[i + 1] = s * zk + c * f;
-                zrow[i] = c * zk - s * f;
-            }
-            if r == 0.0 && m > l {
-                continue;
-            }
-            d[l] -= p;
-            e[l] = g;
-            e[m] = 0.0;
-        }
-    }
-
-    let mut order: Vec<usize> = (0..n).collect();
+/// Indices of `d` by descending value.
+fn descending(d: &[f64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..d.len()).collect();
     order.sort_by(|&a, &b| d[b].total_cmp(&d[a]));
-    let values: Vec<f64> = order.iter().map(|&i| d[i]).collect();
-    let row: Vec<f64> = order.iter().map(|&i| zrow[i]).collect();
-    Ok((values, row))
+    order
 }
 
 /// All eigenvalues of `t` by Sturm-sequence bisection, descending.

@@ -213,7 +213,6 @@ impl Ladder {
             // Escalate immediately: the backlog is growing now.
             self.level = target;
             self.below_since = None;
-            lsi_obs::count("serve.degrade.count", 1);
         } else if target < self.level {
             let since = *self.below_since.get_or_insert(now);
             if now.saturating_duration_since(since) >= DEGRADE_COOLDOWN {
@@ -275,7 +274,8 @@ impl Build {
     fn join(self, stats: &Stats) -> Option<Rungs> {
         match self.0.join() {
             Ok((Ok(rungs), took)) => {
-                stats.set_ladder_built(took);
+                stats.ladder_build_ms.set(took.as_secs_f64() * 1e3);
+                stats.ladder_builds.inc();
                 lsi_obs::info!(
                     "serve: degradation rungs built in {:.1} ms",
                     took.as_secs_f64() * 1e3
@@ -287,8 +287,7 @@ impl Build {
                 None
             }
             Err(_) => {
-                stats.add_panic();
-                lsi_obs::count("serve.panic.count", 1);
+                stats.panics.inc();
                 lsi_obs::error!(
                     "serve: degradation rung build panicked (contained); serving at level 0"
                 );
@@ -328,9 +327,8 @@ pub(crate) fn run(
     let mut rungs: Option<Rungs> = None;
     let mut build: Option<Build> = None;
     while let Some((batch, backlog)) = queue.pop_batch(max_batch) {
-        lsi_obs::gauge_set("serve.queue.depth", backlog as f64);
         let now = Instant::now();
-        let live = live_jobs(batch, now, stats);
+        let live = live_jobs(batch, now);
         if live.is_empty() {
             continue;
         }
@@ -338,60 +336,51 @@ pub(crate) fn run(
         if let Some(done) = build.take_if(|b| b.is_finished()) {
             rungs = done.join(stats);
         }
+        let was = ladder.level;
         let (level, start_build) = ladder.step(now, backlog, queue.depth, rungs.is_some());
+        if ladder.level > was {
+            stats.escalations.inc();
+        }
         if start_build {
             match Build::spawn(model) {
                 Ok(b) => build = Some(b),
                 Err(e) => lsi_obs::error!("serve: cannot start the rung builder: {e}"),
             }
         }
-        lsi_obs::gauge_set("serve.degrade.level", level as f64);
-        stats.record_batch(live.len() as u64, level);
-        lsi_obs::observe("serve.batch.size", live.len() as f64);
-        for job in &live {
-            lsi_obs::observe(
-                "serve.queue.wait.us",
-                job.enqueued.elapsed().as_secs_f64() * 1e6,
-            );
-        }
-        score_batch(model, live, ladder.plan(level, rungs.as_ref()), stats);
+        stats.batch_size.record(live.len() as f64);
+        stats.degrade_level.set(f64::from(level));
+        score_batch(model, live, now, ladder.plan(level, rungs.as_ref()), stats);
     }
     if let Some(b) = build {
         b.join(stats);
     }
 }
 
-/// The jobs of `batch` whose deadline is after `now`, in order. Each
-/// expired job is counted as one timeout and dropped: dropping its reply
-/// sender makes the handler's `recv` see `Disconnected` and answer 504
+/// The jobs of `batch` whose deadline is after `now`, in order. An
+/// expired job is dropped: dropping its reply sender makes the handler's
+/// `recv` see `Disconnected` and answer 504, which counts the timeout,
 /// without the sweep ever running.
-fn live_jobs(mut batch: Vec<Job>, now: Instant, stats: &Stats) -> Vec<Job> {
-    batch.retain(|job| {
-        let live = job.deadline > now;
-        if !live {
-            stats.add_timeout();
-            lsi_obs::count("serve.timeout.count", 1);
-        }
-        live
-    });
+fn live_jobs(mut batch: Vec<Job>, now: Instant) -> Vec<Job> {
+    batch.retain(|job| job.deadline > now);
     batch
 }
 
-/// Score one batch, containing panics so the batcher thread survives
-/// (e.g. the `serve.batch` failpoint armed with `panic`).
-fn score_batch(model: &LsiModel, live: Vec<Job>, plan: BatchPlan<'_>, stats: &Stats) {
+/// Score one batch popped at `now`, containing panics so the batcher
+/// thread survives (e.g. the `serve.batch` failpoint armed with `panic`).
+fn score_batch(model: &LsiModel, live: Vec<Job>, now: Instant, plan: BatchPlan<'_>, stats: &Stats) {
     let mut replies: Vec<SyncSender<Result<RankedList, String>>> =
         Vec::with_capacity(live.len());
     let mut queries: Vec<BatchQuery> = Vec::with_capacity(live.len());
-    let now = Instant::now();
     for job in live {
+        let wait_us = now.saturating_duration_since(job.enqueued).as_secs_f64() * 1e6;
+        stats.queue_wait_us.record(wait_us);
         replies.push(job.reply);
         queries.push(BatchQuery {
             text: job.text,
             z: job.z,
             ctx: Some(RequestCtx {
                 trace_id: job.trace_id,
-                wait_us: now.saturating_duration_since(job.enqueued).as_secs_f64() * 1e6,
+                wait_us,
             }),
         });
     }
@@ -427,8 +416,7 @@ fn score_batch(model: &LsiModel, live: Vec<Job>, plan: BatchPlan<'_>, stats: &St
             }
         }
         Err(_) => {
-            stats.add_panic();
-            lsi_obs::count("serve.panic.count", 1);
+            stats.panics.inc();
             lsi_obs::error!("panic contained in batch scoring; batcher continues");
             for reply in replies {
                 let _ = reply.try_send(Err(
@@ -578,7 +566,6 @@ mod tests {
 
     #[test]
     fn expired_jobs_are_dropped_and_counted_once() {
-        use std::sync::atomic::Ordering;
         use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError};
 
         type Reply = Receiver<Result<RankedList, String>>;
@@ -609,8 +596,7 @@ mod tests {
                     (job, rx)
                 })
                 .unzip();
-            let stats = Stats::default();
-            let live = live_jobs(jobs, now, &stats);
+            let live = live_jobs(jobs, now);
 
             let want: Vec<String> = (0..deadlines.len())
                 .filter(|&i| live_at[i])
@@ -618,9 +604,7 @@ mod tests {
                 .collect();
             let got: Vec<String> = live.iter().map(|job| job.trace_id.clone()).collect();
             assert_eq!(got, want, "deadlines {deadlines:?}");
-            let expired = live_at.iter().filter(|&&l| !l).count() as u64;
-            // Relaxed: a counter read after the call that wrote it.
-            assert_eq!(stats.timeouts.load(Ordering::Relaxed), expired, "{deadlines:?}");
+            let stats = Stats::default();
             for (rx, &is_live) in replies.iter().zip(live_at) {
                 // The handler's wait: an expired job's sender is gone
                 // (its 504 path); a live one's is still held.
@@ -630,8 +614,16 @@ mod tests {
                 } else {
                     RecvTimeoutError::Disconnected
                 };
-                assert_eq!(seen.err(), Some(want), "deadlines {deadlines:?}");
+                assert_eq!(seen.as_ref().err(), Some(&want), "deadlines {deadlines:?}");
+                if !is_live {
+                    // The handler answers the dropped job, counting it.
+                    let (status, tally) = crate::server::answer(&stats, Some(&seen));
+                    assert_eq!(status, 504, "deadlines {deadlines:?}");
+                    tally.expect("a 504 moves a counter").inc();
+                }
             }
+            let expired = live_at.iter().filter(|&&l| !l).count() as u64;
+            assert_eq!(stats.timeouts.value(), expired, "{deadlines:?}");
         }
     }
 

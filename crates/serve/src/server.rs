@@ -17,7 +17,7 @@
 //! | `POST /query`  | JSON `{"q": ..., "top": ..., "timeout_ms": ...}`|
 //! | `GET /healthz` | liveness: 200 while the process serves          |
 //! | `GET /readyz`  | readiness: 503 once draining                    |
-//! | `GET /stats`   | JSON counters (requests, shed, timeouts, …)     |
+//! | `GET /stats`   | the [`Stats`] record as JSON (requests, shed, …)|
 
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -28,7 +28,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use lsi_core::{LsiModel, RankedList};
-use lsi_obs::{Histogram, Json, RunReport};
+use lsi_obs::{Counter, Gauge, Histogram, Json, RunReport};
 
 use crate::batcher::{self, Job, Queue};
 use crate::http::{self, HttpError, ReadOutcome, Request, Response};
@@ -74,107 +74,105 @@ impl Default for ServeConfig {
     }
 }
 
-/// Monotonic serving counters, independent of whether the metrics
-/// registry is enabled (they feed `/stats` and the final report).
-/// All accesses are Relaxed: each counter is a standalone tally read
-/// for reporting; no ordering with other memory is implied.
+/// The daemon's one serving record, behind `/stats` and the final
+/// report alike (both render `Stats::fields`). Every field is an
+/// lsi-obs counter, gauge or histogram updated where its event happens,
+/// whether or not the metrics registry is enabled, and nothing one
+/// field can derive is kept twice: `batch_size` alone yields `batches`,
+/// `batched_queries` and `max_batch_seen`.
 #[derive(Debug, Default)]
 pub struct Stats {
-    pub connections: AtomicU64,
-    pub requests: AtomicU64,
-    pub queries: AtomicU64,
-    pub shed: AtomicU64,
-    pub timeouts: AtomicU64,
-    pub parse_errors: AtomicU64,
-    pub panics: AtomicU64,
-    pub accept_drops: AtomicU64,
-    pub batches: AtomicU64,
-    pub batched_queries: AtomicU64,
-    pub max_batch_seen: AtomicU64,
+    /// Connections accepted.
+    pub connections: Counter,
+    /// Requests read and routed.
+    pub requests: Counter,
+    /// Queries that entered the scoring queue.
+    pub queries: Counter,
+    /// Connections and queries answered 503 at a full bound.
+    pub shed: Counter,
+    /// Queries answered 504: the deadline passed while queued or scored.
+    pub timeouts: Counter,
+    /// Requests refused as malformed (also the `serve.parse` failpoint).
+    pub parse_errors: Counter,
+    /// Panics contained in a worker, the batcher or the rung builder.
+    pub panics: Counter,
+    /// Connections dropped at the door by the `serve.accept` failpoint.
+    pub accept_drops: Counter,
+    /// Live queries per scored batch.
+    pub batch_size: Histogram,
     /// The ladder level whose plan the last batch ran.
-    pub degrade_level: AtomicU64,
-    /// Whether the ladder's rung artifacts are built (levels 1–3 run
-    /// level 0's plan until they are).
-    pub ladder_ready: AtomicBool,
-    /// Wall time of the rung build in microseconds; 0 until it is done.
-    pub ladder_build_us: AtomicU64,
+    pub degrade_level: Gauge,
+    /// Times the ladder stepped up.
+    pub escalations: Counter,
+    /// Rung bundles installed: 1 once the ladder's artifacts are built
+    /// (levels 1–3 run level 0's plan until then).
+    pub ladder_builds: Counter,
+    /// Wall time of the rung build in milliseconds; 0 until it is done.
+    pub ladder_build_ms: Gauge,
     /// End-to-end `/query` latency in microseconds for queries that
     /// entered the scoring queue (including timeouts; shed requests
     /// never wait and are excluded), log-bucketed so `/stats` can
     /// report p50/p90/p99 without sample storage.
     pub latency_us: Histogram,
+    /// Microseconds each scored query waited in the queue, from its push
+    /// to the pop of its batch: the query log's `wait_us`.
+    pub queue_wait_us: Histogram,
+    started: Started,
+}
+
+/// When the record was created: `uptime_secs` counts from it.
+#[derive(Debug)]
+struct Started(Instant);
+
+impl Default for Started {
+    fn default() -> Started {
+        Started(Instant::now())
+    }
 }
 
 impl Stats {
-    pub(crate) fn add_timeout(&self) {
-        // Relaxed: monitoring counter; no ordering with other state.
-        self.timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_panic(&self) {
-        // Relaxed: monitoring counter; no ordering with other state.
-        self.panics.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_batch(&self, size: u64, level: u8) {
-        // Relaxed: monitoring counters; readers only need eventual
-        // values, never an ordering between them.
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_queries.fetch_add(size, Ordering::Relaxed);
-        self.max_batch_seen.fetch_max(size, Ordering::Relaxed);
-        // Relaxed: monitoring gauge, same as the counters above.
-        self.degrade_level.store(level as u64, Ordering::Relaxed);
-    }
-
-    pub(crate) fn set_ladder_built(&self, took: Duration) {
-        // Relaxed: monitoring values; the batcher installs the rungs
-        // it joined, not anything published through these stores.
-        self.ladder_build_us.store(took.as_micros() as u64, Ordering::Relaxed);
-        self.ladder_ready.store(true, Ordering::Relaxed);
-    }
-
-    fn latency_json(&self) -> Json {
-        let snap = self.latency_us.snapshot();
-        Json::obj(vec![
-            ("count", Json::Num(snap.count as f64)),
-            ("p50", Json::Num(snap.p50)),
-            ("p90", Json::Num(snap.p90)),
-            ("p99", Json::Num(snap.p99)),
-            ("max", Json::Num(snap.max)),
-        ])
-    }
-
-    fn to_json(&self, backlog: usize, draining: bool) -> Json {
-        Json::obj(vec![
-            ("connections", num(&self.connections)),
-            ("requests", num(&self.requests)),
-            ("queries", num(&self.queries)),
-            ("shed", num(&self.shed)),
-            ("timeouts", num(&self.timeouts)),
-            ("parse_errors", num(&self.parse_errors)),
-            ("panics", num(&self.panics)),
-            ("accept_drops", num(&self.accept_drops)),
-            ("batches", num(&self.batches)),
-            ("batched_queries", num(&self.batched_queries)),
-            ("max_batch_seen", num(&self.max_batch_seen)),
-            ("degrade_level", num(&self.degrade_level)),
-            // Relaxed: monitoring snapshot, like `num`.
-            ("ladder_ready", Json::Bool(self.ladder_ready.load(Ordering::Relaxed))),
+    /// The record as `/stats` keys, with the live queue `backlog` and
+    /// drain state beside it.
+    fn fields(&self, backlog: usize, draining: bool) -> Vec<(&'static str, Json)> {
+        let count = |c: &Counter| Json::Num(c.value() as f64);
+        let batches = &self.batch_size;
+        vec![
             (
-                "ladder_build_ms",
-                // Relaxed: monitoring snapshot, like `num`.
-                Json::Num(self.ladder_build_us.load(Ordering::Relaxed) as f64 / 1e3),
+                "uptime_secs",
+                Json::Num(self.started.0.elapsed().as_secs_f64()),
             ),
+            ("connections", count(&self.connections)),
+            ("requests", count(&self.requests)),
+            ("queries", count(&self.queries)),
+            ("shed", count(&self.shed)),
+            ("timeouts", count(&self.timeouts)),
+            ("parse_errors", count(&self.parse_errors)),
+            ("panics", count(&self.panics)),
+            ("accept_drops", count(&self.accept_drops)),
+            ("batches", Json::Num(batches.count() as f64)),
+            ("batched_queries", Json::Num(batches.sum())),
+            ("max_batch_seen", Json::Num(batches.max())),
+            ("degrade_level", Json::Num(self.degrade_level.value())),
+            ("escalations", count(&self.escalations)),
+            ("ladder_ready", Json::Bool(self.ladder_builds.value() > 0)),
+            ("ladder_build_ms", Json::Num(self.ladder_build_ms.value())),
             ("queue_depth", Json::Num(backlog as f64)),
             ("draining", Json::Bool(draining)),
-            ("latency_us", self.latency_json()),
-        ])
+            ("latency_us", percentiles(&self.latency_us)),
+            ("queue_wait_us", percentiles(&self.queue_wait_us)),
+        ]
     }
 }
 
-fn num(a: &AtomicU64) -> Json {
-    // Relaxed: monitoring snapshot; tearing across counters is fine.
-    Json::Num(a.load(Ordering::Relaxed) as f64)
+fn percentiles(h: &Histogram) -> Json {
+    let snap = h.snapshot();
+    Json::obj(vec![
+        ("count", Json::Num(snap.count as f64)),
+        ("p50", Json::Num(snap.p50)),
+        ("p90", Json::Num(snap.p90)),
+        ("p99", Json::Num(snap.p99)),
+        ("max", Json::Num(snap.max)),
+    ])
 }
 
 /// Per-process request-id sequence (`r<pid>-<seq>`), echoed in
@@ -259,7 +257,6 @@ impl Server {
             stop,
             stats,
         } = self;
-        let t_start = Instant::now();
         if let Err(e) = listener.set_nonblocking(true) {
             lsi_obs::error!("serve: cannot set listener nonblocking: {e}");
         }
@@ -293,21 +290,17 @@ impl Server {
         };
 
         // Accept loop.
-        // Relaxed: `stop`/`draining` are independent on/off gates and
-        // the stats fields are monitoring counters; nothing below
-        // requires an ordering between them.
+        // Relaxed: `stop`/`draining` are independent on/off gates;
+        // nothing below requires an ordering between them.
         while !stop.load(Ordering::Relaxed) && !crate::stop_requested() {
             match listener.accept() {
                 Ok((stream, _peer)) => {
-                    // Relaxed: monitoring counter.
-                    stats.connections.fetch_add(1, Ordering::Relaxed);
+                    stats.connections.inc();
                     match lsi_fault::eval(lsi_fault::points::SERVE_ACCEPT) {
                         Some(lsi_fault::Fired::ReturnErr) => {
                             // Injected accept failure: the connection is
                             // dropped, the loop keeps accepting.
-                            // Relaxed: monitoring counter.
-                            stats.accept_drops.fetch_add(1, Ordering::Relaxed);
-                            lsi_obs::count("serve.accept.drop.count", 1);
+                            stats.accept_drops.inc();
                             continue;
                         }
                         Some(lsi_fault::Fired::InjectNan) | None => {}
@@ -317,9 +310,7 @@ impl Server {
                         Err(TrySendError::Full(mut stream)) => {
                             // Every worker busy and the handoff buffer
                             // full: shed at the door.
-                            // Relaxed: monitoring counter.
-                            stats.shed.fetch_add(1, Ordering::Relaxed);
-                            lsi_obs::count("serve.shed.count", 1);
+                            stats.shed.inc();
                             let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
                             let resp = overloaded_response("connection queue full").closing();
                             let _ = http::write_response(&mut stream, &resp);
@@ -352,7 +343,7 @@ impl Server {
                     if handle.join().is_err() {
                         // Worker panics are contained per-connection;
                         // reaching here means containment itself failed.
-                        stats.add_panic();
+                        stats.panics.inc();
                     }
                 }
                 Err(e) => lsi_obs::error!("serve: worker spawn failed: {e}"),
@@ -362,7 +353,7 @@ impl Server {
         match batcher {
             Ok(handle) => {
                 if handle.join().is_err() {
-                    stats.add_panic();
+                    stats.panics.inc();
                 }
             }
             Err(e) => lsi_obs::error!("serve: batcher spawn failed: {e}"),
@@ -374,19 +365,9 @@ impl Server {
             .meta("queue_depth", Json::Num(cfg.queue_depth as f64))
             .meta("max_batch", Json::Num(cfg.max_batch as f64))
             .meta("degrade", Json::Bool(cfg.degrade));
-        report.result("uptime_secs", Json::Num(t_start.elapsed().as_secs_f64()));
-        report.result("connections", num(&stats.connections));
-        report.result("requests", num(&stats.requests));
-        report.result("queries", num(&stats.queries));
-        report.result("shed", num(&stats.shed));
-        report.result("timeouts", num(&stats.timeouts));
-        report.result("parse_errors", num(&stats.parse_errors));
-        report.result("panics", num(&stats.panics));
-        report.result("accept_drops", num(&stats.accept_drops));
-        report.result("batches", num(&stats.batches));
-        report.result("batched_queries", num(&stats.batched_queries));
-        report.result("max_batch_seen", num(&stats.max_batch_seen));
-        report.result("latency_us", stats.latency_json());
+        for (key, value) in stats.fields(queue.len(), true) {
+            report.result(key, value);
+        }
         report
     }
 }
@@ -425,8 +406,7 @@ fn worker_loop(
             handle_connection(&mut stream, cfg, queue, stats, draining);
         }));
         if result.is_err() {
-            stats.add_panic();
-            lsi_obs::count("serve.panic.count", 1);
+            stats.panics.inc();
             lsi_obs::error!("panic contained in connection handler; worker continues");
             let resp = Response::json(
                 500,
@@ -468,17 +448,13 @@ fn handle_connection(
                 return;
             }
             ReadOutcome::Error(err) => {
-                // Relaxed: monitoring counter.
-                stats.parse_errors.fetch_add(1, Ordering::Relaxed);
-                lsi_obs::count("serve.parse.error.count", 1);
+                stats.parse_errors.inc();
                 let resp = error_response(&err).closing();
                 let _ = http::write_response(stream, &resp);
                 return;
             }
         };
-        // Relaxed: monitoring counter.
-        stats.requests.fetch_add(1, Ordering::Relaxed);
-        lsi_obs::count("serve.requests.count", 1);
+        stats.requests.inc();
         let mut resp = route(&req, cfg, queue, stats, draining);
         let last = req.wants_close()
             || is_draining()
@@ -517,9 +493,7 @@ fn route(
     // validation: a typed 400, never a crash.
     match lsi_fault::eval(lsi_fault::points::SERVE_PARSE) {
         Some(lsi_fault::Fired::ReturnErr) => {
-            // Relaxed: monitoring counter.
-            stats.parse_errors.fetch_add(1, Ordering::Relaxed);
-            lsi_obs::count("serve.parse.error.count", 1);
+            stats.parse_errors.inc();
             return bad_request(&format!(
                 "fault injected at failpoint `{}`",
                 lsi_fault::points::SERVE_PARSE
@@ -546,9 +520,8 @@ fn route(
         }
         ("GET", "/stats") => Response::json(
             200,
-            stats
-                // Relaxed: monitoring snapshot of an advisory flag.
-                .to_json(queue.len(), draining.load(Ordering::Relaxed))
+            // Relaxed: monitoring snapshot of an advisory flag.
+            Json::obj(stats.fields(queue.len(), draining.load(Ordering::Relaxed)))
                 .to_string_compact(),
         ),
         ("GET", "/query") => match parse_get_query(qs, cfg) {
@@ -632,6 +605,10 @@ fn make_params(text: String, top: usize, timeout_ms: u64, cfg: &ServeConfig) -> 
     }
 }
 
+/// What the batcher handed back for one queued query: its ranking or
+/// scoring error, or why neither came.
+type Reply = Result<Result<RankedList, String>, RecvTimeoutError>;
+
 fn run_query(params: QueryParams, queue: &Queue, stats: &Stats) -> Response {
     let _span = lsi_obs::span("serve.query");
     let id = next_request_id();
@@ -645,21 +622,19 @@ fn run_query(params: QueryParams, queue: &Queue, stats: &Stats) -> Response {
         deadline: t0 + params.timeout,
         reply: reply_tx,
     };
-    if queue.try_push(job).is_err() {
-        // Relaxed: monitoring counter.
-        stats.shed.fetch_add(1, Ordering::Relaxed);
-        lsi_obs::count("serve.shed.count", 1);
-        return overloaded_response("scoring queue full").with("X-Request-Id", id);
+    let reply = queue.try_push(job).ok().map(|()| {
+        stats.queries.inc();
+        let reply = reply_rx.recv_timeout(params.timeout + REPLY_SLACK);
+        stats.latency_us.record(t0.elapsed().as_secs_f64() * 1e6);
+        reply
+    });
+    let (status, tally) = answer(stats, reply.as_ref());
+    if let Some(counter) = tally {
+        counter.inc();
     }
-    // Relaxed: monitoring counter.
-    stats.queries.fetch_add(1, Ordering::Relaxed);
-    let wait = params.timeout + REPLY_SLACK;
-    let outcome = reply_rx.recv_timeout(wait);
-    let elapsed_us = t0.elapsed().as_secs_f64() * 1e6;
-    lsi_obs::observe("serve.query.us", elapsed_us);
-    stats.latency_us.record(elapsed_us);
-    match outcome {
-        Ok(Ok(ranked)) => {
+    let body = match reply {
+        None => return overloaded_response("scoring queue full").with("X-Request-Id", id),
+        Some(Ok(Ok(ranked))) => {
             let results: Vec<Json> = ranked
                 .matches
                 .iter()
@@ -671,44 +646,71 @@ fn run_query(params: QueryParams, queue: &Queue, stats: &Stats) -> Response {
                     ])
                 })
                 .collect();
-            let body = Json::obj(vec![
-                ("trace_id", Json::Str(id.clone())),
-                ("results", Json::Arr(results)),
-            ]);
-            Response::json(200, body.to_string_compact()).with("X-Request-Id", id)
+            ("results", Json::Arr(results))
         }
-        Ok(Err(msg)) => Response::json(
-            500,
-            Json::obj(vec![
-                ("trace_id", Json::Str(id.clone())),
-                ("error", Json::Str(msg)),
-            ])
-            .to_string_compact(),
-        )
-        .with("X-Request-Id", id),
-        Err(RecvTimeoutError::Timeout) => {
-            // Scored too late (the batcher may still answer into the
-            // rendezvous buffer; that send is discarded harmlessly).
-            stats.add_timeout();
-            lsi_obs::count("serve.timeout.count", 1);
-            deadline_response(&id)
-        }
-        Err(RecvTimeoutError::Disconnected) => {
-            // The batcher dropped the job: expired while queued
-            // (already counted there) or shutdown mid-flight.
-            deadline_response(&id)
-        }
+        Some(Ok(Err(msg))) => ("error", Json::Str(msg)),
+        Some(Err(_)) => ("error", Json::Str("deadline exceeded".to_string())),
+    };
+    let body = Json::obj(vec![("trace_id", Json::Str(id.clone())), body]);
+    Response::json(status, body.to_string_compact()).with("X-Request-Id", id)
+}
+
+/// The status of a query's answer and the one [`Stats`] counter it moves
+/// beyond `queries`. `reply` is `None` when the scoring queue was full.
+pub(crate) fn answer<'s>(stats: &'s Stats, reply: Option<&Reply>) -> (u16, Option<&'s Counter>) {
+    match reply {
+        None => (503, Some(&stats.shed)),
+        Some(Ok(Ok(_))) => (200, None),
+        Some(Ok(Err(_))) => (500, None),
+        // The deadline passed: the reply came too late (the batcher may
+        // still send into the rendezvous buffer, which is discarded), or
+        // the batcher dropped the job as expired without scoring it. The
+        // 504 is the one place either is counted.
+        Some(Err(_)) => (504, Some(&stats.timeouts)),
     }
 }
 
-fn deadline_response(id: &str) -> Response {
-    Response::json(
-        504,
-        Json::obj(vec![
-            ("trace_id", Json::Str(id.to_string())),
-            ("error", Json::Str("deadline exceeded".to_string())),
-        ])
-        .to_string_compact(),
-    )
-    .with("X-Request-Id", id.to_string())
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every way a query's answer can go, without sockets: the status and
+    /// the one counter it moves, applied to a fresh record.
+    #[test]
+    fn each_answer_has_one_status_and_moves_at_most_one_counter() {
+        let ok: Reply = Ok(Ok(RankedList::default()));
+        let failed: Reply = Ok(Err("scoring failed".to_string()));
+        let late: Reply = Err(RecvTimeoutError::Timeout);
+        let dropped: Reply = Err(RecvTimeoutError::Disconnected);
+        // (reply, status, shed, timeouts)
+        let table: [(Option<&Reply>, u16, u64, u64); 5] = [
+            (None, 503, 1, 0),
+            (Some(&ok), 200, 0, 0),
+            (Some(&failed), 500, 0, 0),
+            (Some(&late), 504, 0, 1),
+            // Expired in the queue: `live_jobs` counted nothing, so the
+            // handler's 504 is its one count.
+            (Some(&dropped), 504, 0, 1),
+        ];
+        for (i, &(reply, status, shed, timeouts)) in table.iter().enumerate() {
+            let stats = Stats::default();
+            let (got, tally) = answer(&stats, reply);
+            if let Some(counter) = tally {
+                counter.inc();
+            }
+            let moved: Vec<(&str, Json)> = stats
+                .fields(0, false)
+                .into_iter()
+                .filter(|(key, value)| {
+                    *key != "uptime_secs" && value.as_f64().unwrap_or(0.0) != 0.0
+                })
+                .collect();
+            let want: Vec<(&str, Json)> = [("shed", shed), ("timeouts", timeouts)]
+                .into_iter()
+                .filter(|&(_, n)| n > 0)
+                .map(|(key, n)| (key, Json::Num(n as f64)))
+                .collect();
+            assert_eq!((got, moved), (status, want), "row {i}");
+        }
+    }
 }

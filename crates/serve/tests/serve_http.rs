@@ -213,8 +213,8 @@ fn concurrent_queries_all_answer_and_batches_form() {
             assert_eq!(code, 200);
         }
     }
-    assert_eq!(srv.stats.queries.load(Ordering::Relaxed), 48);
-    assert_eq!(srv.stats.shed.load(Ordering::Relaxed), 0);
+    assert_eq!(srv.stats.queries.value(), 48);
+    assert_eq!(srv.stats.shed.value(), 0);
     let report = srv.finish();
     let json = report.to_json().to_string_compact();
     assert!(json.contains("\"queries\":48"), "{json}");
@@ -270,7 +270,7 @@ fn batch_failpoint_errors_are_typed_and_panic_is_contained() {
     // The batcher survived both injections.
     let (code, _) = get(srv.addr, "/query?q=car");
     assert_eq!(code, 200);
-    assert_eq!(srv.stats.panics.load(Ordering::Relaxed), 1);
+    assert_eq!(srv.stats.panics.value(), 1);
     srv.finish();
 }
 
@@ -284,7 +284,7 @@ fn accept_failpoint_drops_connection_and_keeps_accepting() {
     lsi_fault::clear();
     let (code, _) = get(srv.addr, "/healthz");
     assert_eq!(code, 200);
-    assert_eq!(srv.stats.accept_drops.load(Ordering::Relaxed), 1);
+    assert_eq!(srv.stats.accept_drops.value(), 1);
     srv.finish();
 }
 
@@ -299,7 +299,7 @@ fn expired_deadline_answers_504_without_scoring() {
     lsi_fault::clear();
     assert_eq!(code, 504, "{body}");
     assert!(body.contains("deadline exceeded"), "{body}");
-    assert!(srv.stats.timeouts.load(Ordering::Relaxed) >= 1);
+    assert!(srv.stats.timeouts.value() >= 1);
     srv.finish();
 }
 
@@ -336,7 +336,7 @@ fn overload_sheds_with_retry_after_and_never_queues_unboundedly() {
     }
     lsi_fault::clear();
     assert!(shed >= 1, "queue bound was never enforced");
-    assert_eq!(srv.stats.shed.load(Ordering::Relaxed), shed);
+    assert_eq!(srv.stats.shed.value(), shed);
     srv.finish();
 }
 
@@ -458,10 +458,100 @@ fn failed_ladder_build_is_logged_once_and_the_daemon_keeps_serving() {
         assert!(!ladder_ready(&stats), "{action}: {stats:?}");
         assert_eq!(stat(&stats, "degrade_level"), 0.0, "{action}: {stats:?}");
         assert_eq!(errors() - before, 1, "{action}: the failure is logged once");
-        let panics = srv.stats.panics.load(Ordering::Relaxed);
+        let panics = srv.stats.panics.value();
         assert_eq!(panics, u64::from(action == "panic"), "{action}");
         // The drain still completes and reports.
         let json = srv.finish().to_json().to_string_compact();
         assert!(json.contains("\"lsi_serve\""), "{action}: {json}");
+    }
+}
+
+/// Polls `/stats` until `key` reaches `want`, and returns that record.
+fn await_stat(addr: SocketAddr, key: &str, want: f64) -> Json {
+    let t0 = Instant::now();
+    loop {
+        let stats = stats_json(addr);
+        if stat(&stats, key) >= want {
+            return stats;
+        }
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "{key} < {want}: {stats:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[test]
+fn stats_and_the_drain_report_count_each_event_once() {
+    let _g = fault_lock().lock().unwrap_or_else(|p| p.into_inner());
+    let srv = Running::start(ServeConfig {
+        threads: 8,
+        queue_depth: 1,
+        max_batch: 1,
+        ..ServeConfig::default()
+    });
+    let addr = srv.addr;
+    // The one scored batch stalls far past the expiring query's deadline.
+    lsi_fault::arm_from_spec("serve.batch=delay-ms(600)").unwrap();
+    let scored = std::thread::spawn(move || get(addr, "/query?q=car+engine&top=2&timeout_ms=5000"));
+    await_stat(addr, "batches", 1.0);
+    // Queued behind the stalled batch with a 30 ms deadline: its handler
+    // answers 504 while the job still sits in the queue, and the batcher
+    // drops the job as expired once the stall ends.
+    let expiring = std::thread::spawn(move || get(addr, "/query?q=lion+zebra&timeout_ms=30"));
+    await_stat(addr, "queries", 2.0);
+    // The one-slot queue is full.
+    let (code, body) = get(addr, "/query?q=car");
+    assert_eq!(code, 503, "{body}");
+    let (code, body) = expiring.join().unwrap();
+    assert_eq!(code, 504, "{body}");
+    let (code, body) = scored.join().unwrap();
+    assert_eq!(code, 200, "{body}");
+    lsi_fault::clear();
+
+    let stats = stats_json(addr);
+    // Every key lsibench reads, then the two perf_kernels --serve reads:
+    // one 200, one 504 and one 503, each counted once.
+    for (key, want) in [
+        ("batches", 1.0),
+        ("batched_queries", 1.0),
+        ("shed", 1.0),
+        ("timeouts", 1.0),
+        ("degrade_level", 0.0),
+        ("max_batch_seen", 1.0),
+        ("queries", 2.0),
+    ] {
+        assert_eq!(stat(&stats, key), want, "{key}: {stats:?}");
+    }
+    let count = |block: &str| {
+        stats
+            .get(block)
+            .and_then(|b| b.get("count"))
+            .and_then(|c| c.as_f64())
+    };
+    assert_eq!(count("latency_us"), Some(2.0), "{stats:?}");
+    assert_eq!(count("queue_wait_us"), Some(1.0), "{stats:?}");
+
+    // The drain report renders the same record: nothing happened after
+    // the read above, so every counter is equal. Uptime, backlog and the
+    // drain flag are live state.
+    let report = srv.finish();
+    let Json::Obj(fields) = stats else {
+        panic!("/stats is not an object: {stats:?}")
+    };
+    let live = ["uptime_secs", "queue_depth", "draining"];
+    let keys = |pairs: &[(String, Json)]| pairs.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>();
+    assert_eq!(keys(&report.results), keys(&fields));
+    for (key, value) in fields
+        .iter()
+        .filter(|(key, _)| !live.contains(&key.as_str()))
+    {
+        let reported = report
+            .results
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v);
+        assert_eq!(reported, Some(value), "{key}");
     }
 }

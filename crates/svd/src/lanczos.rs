@@ -133,7 +133,8 @@ pub struct LanczosReport {
     /// Lanczos iterations performed — the `I` of §4.2's
     /// `I × cost(GᵀG x) + trp × cost(G x)`.
     pub steps: usize,
-    /// Triplets that met the residual tolerance.
+    /// Triplets that met the residual tolerance at the last convergence
+    /// check. Below `accepted` when the basis cap ended the run first.
     pub converged: usize,
     /// Accepted triplets returned (`trp` in the cost model).
     pub accepted: usize,
@@ -149,6 +150,10 @@ pub struct LanczosReport {
     /// Ritz-vector assembly (`Y = Q S`, one blocked GEMM) plus the
     /// other-side recovery products.
     pub ritz: PhaseStats,
+    /// The tridiagonal eigensolves: the last-row solve of every
+    /// convergence check and the full solve at final extraction. Wall
+    /// time only; their flops are not modelled.
+    pub tridiag: PhaseStats,
     /// Which rung of the staged fallback ladder produced the result
     /// ([`Fallback::None`] unless [`crate::robust_svd`] degraded).
     pub fallback: Fallback,
@@ -185,6 +190,7 @@ pub fn lanczos_svd<M: MatVec + ?Sized>(
         gram: PhaseStats::default(),
         reorth: PhaseStats::default(),
         ritz: PhaseStats::default(),
+        tridiag: PhaseStats::default(),
         fallback: Fallback::None,
     };
     if k == 0 || dim == 0 {
@@ -227,6 +233,7 @@ pub fn lanczos_svd<M: MatVec + ?Sized>(
     let mut gram_stats = PhaseStats::default();
     let mut reorth_stats = PhaseStats::default();
     let mut ritz_stats = PhaseStats::default();
+    let mut tridiag_stats = PhaseStats::default();
     let gram_apply_flops = 4.0 * a.nnz() as f64;
     // One CGS2 sweep against `c` basis columns: two passes of
     // (y = Qᵀw, w -= Q y), each 4·c·dim flops.
@@ -347,8 +354,13 @@ pub fn lanczos_svd<M: MatVec + ?Sized>(
             // The residual bound only reads the last eigenvector row,
             // so the O(n²) last-row solver suffices here; the full
             // O(n³) decomposition runs once, at final extraction.
+            let t0 = Instant::now();
             let (theta, s_last) = tridiag_eigen_last_row(&t)?;
-            let beta_last = if at_end || breakdown { 0.0 } else { beta };
+            tridiag_stats.add(0.0, t0.elapsed().as_secs_f64());
+            // The next basis vector's weight: zero only at a breakdown,
+            // where T is exact for the spanned subspace. At the basis
+            // cap it is not, and pairs it leaves unconverged stay so.
+            let beta_last = if breakdown { 0.0 } else { beta };
             let theta_scale = theta.first().copied().unwrap_or(0.0).abs().max(1e-300);
             converged = 0;
             for i in 0..k.min(theta.len()) {
@@ -359,7 +371,9 @@ pub fn lanczos_svd<M: MatVec + ?Sized>(
                     break;
                 }
             }
-            if converged >= k || breakdown && steps >= dim {
+            // The cap ends the run before the watchdog can: what it
+            // returns is what the basis holds, converged or not.
+            if converged >= k || breakdown && steps >= dim || at_end {
                 break;
             }
             // Stagnation watchdog: a healthy run keeps ratcheting the
@@ -383,7 +397,9 @@ pub fn lanczos_svd<M: MatVec + ?Sized>(
 
     // Final Ritz extraction.
     let t = SymTridiag::new(alphas.clone(), betas[..steps - 1].to_vec())?;
+    let t0 = Instant::now();
     let (theta, s) = tridiag_eigen(&t)?;
+    tridiag_stats.add(0.0, t0.elapsed().as_secs_f64());
     let keep = k.min(theta.len());
 
     // Ritz vectors Y = Q S, assembled in one blocked GEMM over the
@@ -458,6 +474,7 @@ pub fn lanczos_svd<M: MatVec + ?Sized>(
     lsi_obs::record_phase("gram", &gram_stats);
     lsi_obs::record_phase("reorth", &reorth_stats);
     lsi_obs::record_phase("ritz", &ritz_stats);
+    lsi_obs::record_phase("tridiag", &tridiag_stats);
     lsi_obs::count("svd.lanczos.steps.count", steps as u64);
     lsi_obs::count("svd.lanczos.restarts.count", restarts as u64);
 
@@ -470,6 +487,7 @@ pub fn lanczos_svd<M: MatVec + ?Sized>(
         gram: gram_stats,
         reorth: reorth_stats,
         ritz: ritz_stats,
+        tridiag: tridiag_stats,
         fallback: Fallback::None,
     };
     Ok((Svd { u, s: sigma, v }, report))
@@ -675,6 +693,27 @@ mod tests {
     }
 
     #[test]
+    fn a_capped_basis_reports_only_the_pairs_that_converged() {
+        let a = random_term_doc(60, 50, 0.1, RowProfile::Uniform, 3, 6);
+        let k = 5;
+        // Uncapped, every pair meets the tolerance.
+        let (_, full) = lanczos_svd(&a, k, &LanczosOptions::default()).unwrap();
+        assert_eq!(full.converged, k, "{full:?}");
+        // Capped at 8 steps, the run returns what the basis holds and says
+        // how little of it converged. The watchdog, armed to trip at the
+        // last check, does not: the cap ends the run first.
+        let capped = LanczosOptions {
+            max_steps: Some(8),
+            check_every: 1,
+            stall_after: Some(4),
+            ..LanczosOptions::default()
+        };
+        let (svd, report) = lanczos_svd(&a, k, &capped).unwrap();
+        assert_eq!((report.steps, report.accepted, svd.s.len()), (8, k, k));
+        assert!(report.converged < k, "{report:?}");
+    }
+
+    #[test]
     fn report_counts_iterations() {
         let a = random_term_doc(50, 40, 0.1, RowProfile::Uniform, 3, 6);
         let (_, report) = lanczos_svd(&a, 5, &LanczosOptions::default()).unwrap();
@@ -691,6 +730,8 @@ mod tests {
         assert_eq!(report.gram.flops, report.steps as f64 * 4.0 * a.nnz() as f64);
         assert!(report.reorth.flops > 0.0, "full reorth accounted");
         assert!(report.ritz.flops > 0.0, "ritz assembly accounted");
+        // At least one convergence check and the final extraction solve T.
+        assert!(report.tridiag.calls >= 2, "{:?}", report.tridiag);
         assert!(report.gram.secs >= 0.0 && report.reorth.secs >= 0.0);
         for phase in [report.gram, report.reorth, report.ritz] {
             assert!(phase.mflops().is_finite());

@@ -93,6 +93,7 @@ fn fallback_report(svd: &Svd, rung: Fallback, side_is_ata: bool) -> LanczosRepor
         gram: Default::default(),
         reorth: Default::default(),
         ritz: Default::default(),
+        tridiag: Default::default(),
         fallback: rung,
     }
 }
@@ -100,6 +101,11 @@ fn fallback_report(svd: &Svd, rung: Fallback, side_is_ata: bool) -> LanczosRepor
 /// Truncated SVD that degrades instead of failing: Lanczos →
 /// randomized → dense, returning the first finite decomposition and a
 /// report whose `fallback` field names the rung that produced it.
+///
+/// A Lanczos run that reaches its basis cap before every pair meets the
+/// tolerance is not a failure: its decomposition is returned as it
+/// stands, and the report's `converged` below `accepted` says how many
+/// pairs did.
 ///
 /// Errors surface only for configuration mistakes (`RankTooLarge`) or
 /// when every rung failed or was gated off.

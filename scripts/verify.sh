@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 verification: build, tests, a quick perf_kernels smoke run
-# (checks the JSON report keys), a fault-injection smoke, and the
-# lsi-analyze static-analysis ratchet (safety/panic/provenance
-# invariants; see DESIGN.md §3e).
+# Tier-1 verification: build, tests (lsibench's unit tests too), a
+# quick perf_kernels smoke run (checks the JSON report keys), a
+# fault-injection smoke, and the lsi-analyze static-analysis ratchet
+# (safety/panic/provenance invariants; see DESIGN.md §3e).
 #
 # usage: scripts/verify.sh
 
@@ -21,6 +21,15 @@ cargo test -q
 
 echo "== tier-1: cargo test -q (LSI_NUM_THREADS=1)"
 LSI_NUM_THREADS=1 cargo test -q
+
+echo "== tier-1: lsibench unit tests (the benchmark built against this tree)"
+# lsibench is a workspace of its own (crates/bench/src/bin/lsibench), so
+# the runs above never compile it, yet it uses the public API of lsi-core,
+# lsi-svd, lsi-text, lsi-linalg, lsi-sparse and lsi-obs. Building it here
+# makes a break in that API fail verification instead of the benchmark.
+# Its Cargo.lock is not kept: cargo resolves the path dependencies offline.
+CARGO_TARGET_DIR=target/lsibench-build \
+  cargo test -q --offline --manifest-path crates/bench/src/bin/lsibench/Cargo.toml
 
 echo "== smoke: perf_kernels --quick JSON report"
 out=$(./target/release/perf_kernels --quick)
